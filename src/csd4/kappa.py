@@ -5,6 +5,18 @@ integer-coefficient univariate polynomials.  ``KappaRational`` keeps such
 ratios in a canonical form (coprime over Z[k], denominator with positive
 leading coefficient) so that equality is plain structural comparison.
 
+Every denominator the solver meets is a product of eigenvalue differences
+``eps(e) - eps(m)``, which are linear in the coupling.  So a denominator is
+stored factored: a positive integer content times primitive factors
+``a + b*k`` (``b > 0``), each with a multiplicity.  A sum takes the lcm of
+the two factor multisets; a product or a sum is brought to lowest terms by
+testing each factor against the numerator with one exact synthetic
+division, and the content with one integer gcd.  The general gcd
+:func:`poly_gcd` runs only on a denominator of degree >= 2 that arrives with
+no known factorization: from a string, from the constructor, or from the
+inverse of a non-linear numerator.  Such a polynomial is kept as one more
+factor and cancelled by the same code.
+
 Polynomials are stored as tuples of integer coefficients, lowest degree
 first, with no trailing zeros; the empty tuple is the zero polynomial.
 """
@@ -56,6 +68,8 @@ def poly_sub(a: IntPoly, b: IntPoly) -> IntPoly:
 def poly_mul(a: IntPoly, b: IntPoly) -> IntPoly:
     if not a or not b:
         return _ZERO
+    if len(a) > len(b):
+        a, b = b, a  # the shorter factor drives the outer loop
     out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca:
@@ -232,22 +246,24 @@ def poly_from_str(text: str) -> IntPoly:
 class KappaRational:
     """A canonical ratio of integer polynomials in the coupling.
 
-    Instances are immutable and hashable; two instances compare equal iff
-    they are the same rational function.
+    ``num`` and ``den`` are coprime over Z[k]; ``den`` is expanded from its
+    factored form on first use.  Instances are immutable and hashable; two
+    instances compare equal iff they are the same rational function.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "_content", "_factors", "_den")
 
-    def __init__(self, num=0, den=1, *, _raw=False):
-        if _raw:
-            self.num = num
-            self.den = den
-            return
+    def __init__(self, num=0, den=1):
         num = self._coerce_poly(num)
         den = self._coerce_poly(den)
-        num, den = _canonical(num, den)
-        self.num = num
-        self.den = den
+        if not den:
+            raise ZeroDivisionError("zero denominator")
+        sign, content, factors = _factor(den)
+        if sign < 0:
+            num = poly_neg(num)
+        r = _reduce(num, content, factors)
+        self.num, self._content, self._factors = r.num, r._content, r._factors
+        self._den = r._den
 
     @staticmethod
     def _coerce_poly(p) -> IntPoly:
@@ -268,18 +284,28 @@ class KappaRational:
     def parse(cls, num_str: str, den_str: str = "1") -> "KappaRational":
         return cls(poly_from_str(num_str), poly_from_str(den_str))
 
+    @property
+    def den(self) -> IntPoly:
+        den = self._den
+        if den is None:
+            den = (self._content,)
+            for f, e in self._factors.items():
+                den = _mul_factor(den, f, e)
+            self._den = den
+        return den
+
     # -- predicates ----------------------------------------------------
 
     def is_zero(self) -> bool:
         return not self.num
 
     def is_constant(self) -> bool:
-        return len(self.num) <= 1 and len(self.den) == 1
+        return len(self.num) <= 1 and not self._factors
 
     def as_fraction(self) -> Fraction:
         if not self.is_constant():
             raise ValueError(f"{self} is not constant in the coupling")
-        return Fraction(self.num[0] if self.num else 0, self.den[0])
+        return Fraction(self.num[0] if self.num else 0, self._content)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -288,7 +314,7 @@ class KappaRational:
         if isinstance(other, KappaRational):
             return other
         if isinstance(other, int):
-            return KappaRational(other)
+            return _make((other,) if other else _ZERO, 1, _NO_FACTORS)
         if isinstance(other, Fraction):
             return KappaRational.from_fraction(other)
         return NotImplemented
@@ -301,29 +327,36 @@ class KappaRational:
             return other
         if not other.num:
             return self
-        # Knuth's scheme: reduce by the common denominator factor first;
-        # for canonical inputs the result below is already in lowest terms.
-        g = poly_gcd(self.den, other.den)
-        if g == _ONE:
-            num = poly_add(poly_mul(self.num, other.den), poly_mul(other.num, self.den))
-            if not num:
-                return _KR_ZERO
-            return _make_raw(num, poly_mul(self.den, other.den))
-        d1 = poly_div_exact(self.den, g)
-        d2 = poly_div_exact(other.den, g)
-        t = poly_add(poly_mul(self.num, d2), poly_mul(other.num, d1))
-        if not t:
-            return _KR_ZERO
-        g2 = poly_gcd(t, g)
-        if g2 != _ONE:
-            t = poly_div_exact(t, g2)
-            g = poly_div_exact(g, g2)
-        return _make_raw(t, poly_mul(poly_mul(d1, g), d2))
+        # Knuth's scheme with the lcm of the factored denominators: bring
+        # both numerators to it, add, and cancel what the sum shares.
+        c1, c2 = self._content, other._content
+        g = math.gcd(c1, c2)
+        n1 = poly_scale(self.num, c2 // g)
+        n2 = poly_scale(other.num, c1 // g)
+        f1, f2 = self._factors, other._factors
+        factors = dict(f1)
+        for f, e in f2.items():
+            e1 = f1.get(f, 0)
+            if e > e1:
+                factors[f] = e
+                n1 = _mul_factor(n1, f, e - e1)
+            elif e < e1:
+                n2 = _mul_factor(n2, f, e1 - e)
+        for f, e in f1.items():
+            if f not in f2:
+                n2 = _mul_factor(n2, f, e)
+        # When every factor is linear, hence irreducible and coprime to the
+        # others, only one that both denominators carry to the same power
+        # can divide the sum.
+        test = None
+        if all(len(f) == 2 for f in factors):
+            test = [f for f, e in f2.items() if f1.get(f) == e]
+        return _reduce(poly_add(n1, n2), c1 // g * c2, factors, test)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _make_raw(poly_neg(self.num), self.den)
+        return _make(poly_neg(self.num), self._content, self._factors, self._den)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -343,23 +376,25 @@ class KappaRational:
             return NotImplemented
         if not self.num or not other.num:
             return _KR_ZERO
-        g1 = poly_gcd(self.num, other.den)
-        g2 = poly_gcd(other.num, self.den)
-        num = poly_mul(poly_div_exact(self.num, g1), poly_div_exact(other.num, g2))
-        den = poly_mul(poly_div_exact(self.den, g2), poly_div_exact(other.den, g1))
-        if den[-1] < 0:
-            num, den = poly_neg(num), poly_neg(den)
-        return _make_raw(num, den)
+        # Each numerator is coprime to its own denominator, so cancelling it
+        # against the other operand's denominator leaves lowest terms.
+        a = _reduce(self.num, other._content, other._factors)
+        b = _reduce(other.num, self._content, self._factors)
+        factors = dict(a._factors)
+        for f, e in b._factors.items():
+            factors[f] = factors.get(f, 0) + e
+        return _make(
+            poly_mul(a.num, b.num), a._content * b._content, factors or _NO_FACTORS
+        )
 
     __rmul__ = __mul__
 
     def inverse(self) -> "KappaRational":
         if not self.num:
             raise ZeroDivisionError("inverse of zero")
-        num, den = self.den, self.num
-        if den[-1] < 0:
-            num, den = poly_neg(num), poly_neg(den)
-        return _make_raw(num, den)
+        sign, content, factors = _factor(self.num)
+        num = self.den
+        return _make(poly_neg(num) if sign < 0 else num, content, factors)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -381,8 +416,9 @@ class KappaRational:
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
     # -- evaluation ----------------------------------------------------
@@ -422,28 +458,102 @@ class KappaRational:
         return f"KappaRational({self.num!r}, {self.den!r})"
 
 
-def _canonical(num: IntPoly, den: IntPoly) -> tuple:
-    if not den:
-        raise ZeroDivisionError("zero denominator")
+_NO_FACTORS: dict = {}
+
+
+def _make(num, content, factors, den=None) -> KappaRational:
+    """An instance from parts already in lowest terms."""
+    r = object.__new__(KappaRational)
+    r.num = num
+    r._content = content
+    r._factors = factors
+    r._den = den if den is not None or factors else (content,)
+    return r
+
+
+def _factor(p: IntPoly) -> tuple:
+    """Split a nonzero p as ``sign * content * factor``.
+
+    A linear or non-linear p becomes one primitive factor with positive
+    leading coefficient; a constant has no factor.
+    """
+    sign = 1 if p[-1] > 0 else -1
+    content = poly_content(p)
+    if len(p) == 1:
+        return sign, content, _NO_FACTORS
+    s = sign * content
+    return sign, content, {tuple(c // s for c in p): 1}
+
+
+def _mul_factor(p: IntPoly, f: IntPoly, e: int) -> IntPoly:
+    for _ in range(e):
+        p = poly_mul(p, f)
+    return p
+
+
+def _div_linear(p: IntPoly, a: int, b: int):
+    """p / (a + b*k) in Z[k] by synthetic division, or None if inexact.
+
+    For primitive a + b*k, exactness over Z is exactness over Q (Gauss).
+    """
+    if len(p) < 2:
+        return None
+    q = [0] * (len(p) - 1)
+    r = p[-1]
+    for i in range(len(p) - 2, -1, -1):
+        t, rest = divmod(r, b)
+        if rest:
+            return None
+        q[i] = t
+        r = p[i] - a * t
+    return tuple(q) if r == 0 else None
+
+
+def _reduce(num: IntPoly, content: int, factors: dict, test=None) -> KappaRational:
+    """num / (content * prod f^e) in lowest terms.
+
+    The factors in ``test`` (default: all) are tried against num.  A linear
+    factor is cancelled by synthetic division; a non-linear one, which
+    arrives only with no known factorization, through :func:`poly_gcd`.
+    """
     if not num:
-        return _ZERO, _ONE
-    if den == _ONE:
-        return num, den
-    g = poly_gcd(num, den)
-    if g != _ONE:
-        num = poly_div_exact(num, g)
-        den = poly_div_exact(den, g)
-    if den[-1] < 0:
-        num, den = poly_neg(num), poly_neg(den)
-    return num, den
+        return _KR_ZERO
+    if len(num) > 1 and factors:
+        kept = dict(factors)
+        for f in factors if test is None else test:
+            e = kept.pop(f)
+            if len(f) == 2:
+                while e:
+                    q = _div_linear(num, f[0], f[1])
+                    if q is None:
+                        break
+                    num = q
+                    e -= 1
+                if e:
+                    kept[f] = kept.get(f, 0) + e
+                continue
+            rest = _mul_factor(_ONE, f, e)
+            g = poly_gcd(num, rest)
+            if g == _ONE:
+                kept[f] = kept.get(f, 0) + e
+                continue
+            # What is left of f^e is primitive with positive leading
+            # coefficient, so it is a factor as it stands.
+            num = poly_div_exact(num, g)
+            rest = poly_div_exact(rest, g)
+            if len(rest) > 1:
+                kept[rest] = kept.get(rest, 0) + 1
+        factors = kept or _NO_FACTORS
+    if content > 1:
+        g = math.gcd(content, *num)
+        if g > 1:
+            num = tuple(c // g for c in num)
+            content //= g
+    return _make(num, content, factors)
 
 
-def _make_raw(num: IntPoly, den: IntPoly) -> KappaRational:
-    return KappaRational(num, den, _raw=True)
-
-
-_KR_ZERO = _make_raw(_ZERO, _ONE)
-_KR_ONE = _make_raw(_ONE, _ONE)
+_KR_ZERO = _make(_ZERO, 1, _NO_FACTORS)
+_KR_ONE = _make(_ONE, 1, _NO_FACTORS)
 
 ZERO = _KR_ZERO
 ONE = _KR_ONE

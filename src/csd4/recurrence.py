@@ -137,13 +137,13 @@ def _lin(c0: int, c1: int) -> KappaRational:
 
 
 def _ratio(num_factors, den_factors) -> KappaRational:
-    num = KappaRational(1)
+    # Dividing by one linear factor at a time keeps the denominator factored.
+    out = KappaRational(1)
     for f in num_factors:
-        num = num * f
-    den = KappaRational(1)
+        out = out * f
     for f in den_factors:
-        den = den * f
-    return num / den
+        out = out / f
+    return out
 
 
 def closed_form(name: str, m: int) -> KappaRational:
@@ -219,8 +219,10 @@ def _cf_g(m):
 
 
 def _cf_h(m):
-    num = KappaRational((4 * (m * m - 1), 4 * (6 * m - 1), 20, -12))
-    return num / (_lin(m - 1, 1) * _lin(1, 3) * _lin(m + 1, 5))
+    return _ratio(
+        [KappaRational((4 * (m * m - 1), 4 * (6 * m - 1), 20, -12))],
+        [_lin(m - 1, 1), _lin(1, 3), _lin(m + 1, 5)],
+    )
 
 
 def _cf_k(m):
@@ -304,15 +306,16 @@ def quintic_s_numerator(m: int) -> KappaRational:
 
 
 def _cf_s(m):
-    num = KappaRational(-4) * quintic_s_numerator(m)
-    den = (
-        _lin(1, 1)
-        * _lin(m - 1, 1)
-        * _lin(m + 1, 4)
-        * _lin(2 * m - 1, 5)
-        * _lin(2 * m + 1, 5)
+    return _ratio(
+        [KappaRational(-4), quintic_s_numerator(m)],
+        [
+            _lin(1, 1),
+            _lin(m - 1, 1),
+            _lin(m + 1, 4),
+            _lin(2 * m - 1, 5),
+            _lin(2 * m + 1, 5),
+        ],
     )
-    return num / den
 
 
 _CLOSED_FORMS = {

@@ -12,8 +12,10 @@ by zero; numeric resonances only appear on specialization).
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
 from . import hamiltonian
 from .errors import InternalInconsistency, PoleAtKappa
@@ -74,7 +76,7 @@ class CSPolynomial:
 
     m: tuple
     eigenvalue: KappaRational
-    coefficients: dict  # mu (root coords) -> nonzero KappaRational
+    coefficients: Mapping  # mu (root coords) -> nonzero KappaRational
     polynomial: ZPolynomial
 
     def to_fixture_obj(self) -> dict:
@@ -162,10 +164,12 @@ def solve(m) -> CSPolynomial:
                 f"vanishing symbolic eigenvalue difference at mu={el.mu}"
             )
         c = acc / denom
+        c.den  # expand the factored denominator here, not at a caller's first use
         coeffs[el.mu] = c
         terms[el.exponent] = c
     poly = ZPolynomial(terms, _raw=True)
-    result = CSPolynomial(m, eps_m, coeffs, poly)
+    # Every caller shares the cached result, so its table is read-only.
+    result = CSPolynomial(m, eps_m, MappingProxyType(coeffs), poly)
     _CACHE[m] = result
     return result
 

@@ -138,8 +138,9 @@ class ZPolynomial:
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
     def _coerce(self, other):

@@ -1,5 +1,6 @@
 """Canonical-form and field-arithmetic tests for the coupling rationals."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -10,9 +11,15 @@ from csd4.errors import PoleAtKappa
 from csd4.kappa import (
     KappaRational,
     kappa_linear,
+    poly_add,
+    poly_div_exact,
+    poly_eval,
     poly_from_str,
     poly_gcd,
     poly_mul,
+    poly_neg,
+    poly_scale,
+    poly_sub,
     poly_to_str,
 )
 
@@ -140,11 +147,102 @@ def test_canonical_form_unique(n, d, s):
 def test_gcd_divides_and_scales(a, b, g):
     d = poly_gcd(poly_mul(a, g), poly_mul(b, g))
     # d must be divisible by g up to sign (g divides both products)
-    from csd4.kappa import poly_div_exact
-
     gg = g if g[-1] > 0 else tuple(-c for c in g)
     q = poly_div_exact(d, poly_gcd(d, gg))
     assert poly_gcd(d, gg) == poly_gcd(gg, d)
     # d is a common divisor
     poly_div_exact(poly_mul(a, g), d)
     poly_div_exact(poly_mul(b, g), d)
+
+
+# Primitive linear factors a + b*k (b > 0), the shape of every eigenvalue
+# difference, and two quadratics that arrive unfactored: k^2 + 1 is
+# irreducible, k^2 + 3k + 2 = (k + 1)(k + 2) hides two linear factors.
+LINEAR = [(a, b) for b in range(1, 4) for a in range(-4, 5) if math.gcd(a, b) == 1]
+QUADRATICS = [(1, 0, 1), (2, 3, 1)]
+
+
+def gcd_reference(num, den):
+    """Lowest terms by the general gcd, with a positive leading denominator."""
+    if not num:
+        return (), (1,)
+    g = poly_gcd(num, den)
+    num, den = poly_div_exact(num, g), poly_div_exact(den, g)
+    if den[-1] < 0:
+        num, den = poly_neg(num), poly_neg(den)
+    return num, den
+
+
+def power_product(start, factors, mults):
+    out = start
+    for f, e in zip(factors, mults):
+        for _ in range(e):
+            out = poly_mul(out, f)
+    return out
+
+
+@st.composite
+def factored_operands(draw, pool):
+    """(x, raw_num, raw_den): x built from a numerator sharing some of the
+    pool's factors and a denominator with repeated pool factors, a content
+    and maybe an unfactored quadratic, by division or by the constructor."""
+    base = draw(st.lists(small_ints, min_size=1, max_size=2).filter(any).map(tuple))
+    num = power_product(
+        poly_scale(base, draw(st.integers(1, 6))),
+        pool,
+        draw(st.lists(st.integers(0, 1), min_size=len(pool), max_size=len(pool))),
+    )
+    content = draw(st.integers(1, 12))
+    mults = draw(st.lists(st.integers(0, 2), min_size=len(pool), max_size=len(pool)))
+    quad = draw(st.sampled_from([None, *QUADRATICS]))
+    den = power_product((content,), pool, mults)
+    if quad:
+        den = poly_mul(den, quad)
+    if draw(st.booleans()):
+        x = KappaRational(num) / content
+        for f, e in zip(pool, mults):
+            for _ in range(e):
+                x = x / KappaRational(f)
+        if quad:
+            x = x / KappaRational(quad)
+    else:
+        x = KappaRational(num, den)
+    return x, num, den
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_factored_arithmetic_matches_gcd_reference(data):
+    pool = data.draw(
+        st.lists(st.sampled_from(LINEAR), min_size=3, max_size=3, unique=True)
+    )
+    a, an, ad = data.draw(factored_operands(pool))
+    b, bn, bd = data.draw(factored_operands(pool))
+    assert (a.num, a.den) == gcd_reference(an, ad)
+    assert (b.num, b.den) == gcd_reference(bn, bd)
+    sum_num, sum_den = poly_add(poly_mul(an, bd), poly_mul(bn, ad)), poly_mul(ad, bd)
+    cases = [
+        (a + b, sum_num, sum_den),
+        (a - b, poly_sub(poly_mul(an, bd), poly_mul(bn, ad)), poly_mul(ad, bd)),
+        (a * b, poly_mul(an, bn), poly_mul(ad, bd)),
+        (a / b, poly_mul(an, bd), poly_mul(ad, bn)),
+        # a sum whose lowest terms need the factors b brought in cancelled
+        (
+            (a + b) - b,
+            poly_sub(poly_mul(sum_num, bd), poly_mul(bn, sum_den)),
+            poly_mul(sum_den, bd),
+        ),
+    ]
+    for got, raw_num, raw_den in cases:
+        num, den = gcd_reference(raw_num, raw_den)
+        assert (got.num, got.den) == (num, den)
+        twin = KappaRational(raw_num, raw_den)
+        assert got == twin and hash(got) == hash(twin)
+        for f in pool:
+            root = Fraction(-f[0], f[1])
+            if poly_eval(den, root) == 0:
+                with pytest.raises(PoleAtKappa):
+                    got.substitute(root)
+            else:
+                value = poly_eval(num, root) / poly_eval(den, root)
+                assert got.substitute(root) == value

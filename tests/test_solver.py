@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from csd4 import hamiltonian as ham
+from csd4 import kappa
 from csd4 import rootsystem as rs
 from csd4 import solver
 from csd4.errors import PoleAtKappa
@@ -132,3 +133,35 @@ def test_fixture_roundtrip():
     assert back.eigenvalue == p.eigenvalue
     assert back.coefficients == p.coefficients
     assert back.polynomial == p.polynomial
+
+
+def test_cached_coefficients_are_read_only():
+    p = solver.solve((1, 1, 0, 0))
+    before = dict(p.coefficients)
+    with pytest.raises(TypeError):
+        p.coefficients[(0, 0, 0, 0)] = KappaRational(2)
+    assert solver.solve((1, 1, 0, 0)).coefficients == before
+
+
+def test_solve_runs_no_polynomial_gcd(monkeypatch):
+    # Every denominator of the recursion is a product of linear eigenvalue
+    # differences, which the coupling arithmetic cancels without a gcd.
+    def refuse(a, b):
+        raise AssertionError("solve reached the general polynomial gcd")
+
+    monkeypatch.setattr(kappa, "poly_gcd", refuse)
+    solver.clear_cache()
+    try:
+        p = solver.solve((2, 2, 2, 2))
+    finally:
+        solver.clear_cache()
+    assert len(p.coefficients) == 89
+
+
+def test_even_special_coupling_family_exact():
+    # P_{2j rho}((1-2j)/2) = P_{2 rho}(-1/2)^j, here j = 2: both sides are
+    # delta^(2j), delta the Weyl denominator.
+    square = solver.specialize(solver.solve((2, 2, 2, 2)), Fraction(-1, 2)) ** 2
+    fourth = solver.specialize(solver.solve((4, 4, 4, 4)), Fraction(-3, 2))
+    assert fourth == square
+    assert len(fourth) == 793
