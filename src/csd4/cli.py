@@ -10,14 +10,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
-import random
 import sys
 from fractions import Fraction
 
-from . import fixtures, genfun, qspace, recurrence, rootsystem, solver
+from . import checks, genfun, qspace, recurrence, rootsystem, solver
 from .errors import PoleAtKappa
-from .zpoly import ZPolynomial
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -51,17 +48,6 @@ def _emit(obj, as_json: bool, text_fallback=None):
         print(json.dumps(obj, sort_keys=True, indent=2))
     else:
         print(text_fallback if text_fallback is not None else obj)
-
-
-def _sample_points(seed: int, count: int, margin: float = 0.2):
-    """Deterministic generic torus points, clear of potential nodes."""
-    rng = random.Random(seed)
-    points = []
-    while len(points) < count:
-        q = tuple(rng.uniform(0.1, math.pi - 0.1) for _ in range(4))
-        if qspace.min_sine(q) > margin:
-            points.append(q)
-    return points
 
 
 # ----------------------------------------------------------------------
@@ -98,11 +84,11 @@ def cmd_recur(args) -> int:
 
 
 def cmd_genfun(args) -> int:
-    checks = []
+    rows = []
     ok = True
     if args.check == "series":
         for m, good in genfun.series_check(args.label, args.order):
-            checks.append({"coefficient": m, "ok": good})
+            rows.append({"coefficient": m, "ok": good})
             ok = ok and good
     elif args.check == "pde":
         if args.label not in ("F0", "F1"):
@@ -112,14 +98,14 @@ def cmd_genfun(args) -> int:
         residual = genfun.pde_residual(args.label, args.order)
         for m, coeff in enumerate(residual.coeffs):
             good = coeff.is_zero()
-            checks.append({"coefficient": m, "ok": good})
+            rows.append({"coefficient": m, "ok": good})
             ok = ok and good
     else:
         series = genfun.expand(args.label, args.order)
         for m, coeff in enumerate(series.coeffs):
-            checks.append({"coefficient": m, "terms": coeff.to_json_obj()})
+            rows.append({"coefficient": m, "terms": coeff.to_json_obj()})
     obj = {"label": args.label, "order": args.order, "mode": args.check or "expand"}
-    obj["coefficients" if args.check is None else "checks"] = checks
+    obj["coefficients" if args.check is None else "checks"] = rows
     if args.check is not None:
         obj["ok"] = ok
     _emit(obj, True)
@@ -127,7 +113,7 @@ def cmd_genfun(args) -> int:
 
 
 def cmd_qcheck(args) -> int:
-    points = _sample_points(args.seed, args.samples)
+    points = qspace.generic_points(args.seed, args.samples)
     rows = []
     worst = 0.0
     signs = set()
@@ -151,184 +137,18 @@ def cmd_qcheck(args) -> int:
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
 
 
-# ----------------------------------------------------------------------
-# verify suites
-
-
-def _suite_golden() -> list:
-    checks = []
-    corpus = fixtures.load_golden()
-    for entry in corpus["polynomials"]:
-        want = solver.CSPolynomial.from_fixture_obj(entry)
-        got = solver.solve(want.m)
-        ok = (
-            got.coefficients == want.coefficients
-            and got.eigenvalue == want.eigenvalue
-            and got.polynomial == want.polynomial
-        )
-        checks.append({"name": f"polynomial {list(want.m)}", "ok": ok})
-    for key, kappa0 in (("characters", 1), ("monomials", 0)):
-        for entry in corpus[key]:
-            m = tuple(entry["m"])
-            want = ZPolynomial.from_json_obj(entry["terms"])
-            got = solver.specialize(solver.solve(m), kappa0)
-            checks.append({"name": f"{key[:-1]} {list(m)}", "ok": got == want})
-    return checks
-
-
-def _dominant_weights(total: int):
-    for m1 in range(total + 1):
-        for m2 in range(total + 1 - m1):
-            for m3 in range(total + 1 - m1 - m2):
-                for m4 in range(total + 1 - m1 - m2 - m3):
-                    yield (m1, m2, m3, m4)
-
-
-def _suite_eigen(seed: int) -> list:
-    checks = []
-    for m in _dominant_weights(3):
-        checks.append(
-            {"name": f"eigen {list(m)}", "ok": solver.verify_eigen(solver.solve(m))}
-        )
-    rng = random.Random(seed)
-    seen = set()
-    while len(seen) < 10:
-        m = tuple(rng.randint(0, 5) for _ in range(4))
-        if sum(m) > 5 or m in seen:
-            continue
-        seen.add(m)
-        checks.append(
-            {
-                "name": f"eigen random {list(m)}",
-                "ok": solver.verify_eigen(solver.solve(m)),
-            }
-        )
-    return checks
-
-
-def _suite_recur(max_m: int) -> list:
-    report = recurrence.verify_closed_forms(max_m)
-    checks = [
-        {
-            "name": f"{rec.family} m={rec.m} slot={list(rec.slot)}",
-            "ok": rec.ok,
-        }
-        for rec in report.records
-    ]
-    for sigma in rootsystem.TRIALITY_MAPS[1:]:
-        for v, m in ((1, (2, 1, 1, 0)), (2, (1, 1, 0, 2))):
-            rep = recurrence.triality_consistent(v, m, sigma)
-            label = "".join(str(sigma[i]) for i in (1, 2, 3, 4))
-            checks.append(
-                {"name": f"triality z{v} m={list(m)} sigma={label}", "ok": rep.ok}
-            )
-    return checks
-
-
-def _suite_ladder() -> list:
-    checks = []
-    for m in range(1, 6):
-        got = recurrence.ladder_next(m)
-        want = solver.solve((m + 1, 0, 0, 0))
-        checks.append(
-            {"name": f"ladder ({m + 1},0,0,0)", "ok": got.polynomial == want.polynomial}
-        )
-    for m in range(1, 4):
-        got = recurrence.ladder_mixed(m)
-        want = solver.solve((m, 1, 0, 0))
-        checks.append(
-            {"name": f"ladder mixed ({m},1,0,0)", "ok": got.polynomial == want.polynomial}
-        )
-    return checks
-
-
-def _suite_genfun(order: int) -> list:
-    checks = []
-    for label in ("F0", "F1"):
-        for m, good in genfun.series_check(label, max(order, 8)):
-            checks.append({"name": f"{label} series t^{m}", "ok": good})
-    for label in ("G0", "G1"):
-        for m, good in genfun.series_check(label, min(order, 6)):
-            checks.append({"name": f"{label} series t^{m}", "ok": good})
-    for label in ("F0", "F1"):
-        residual = genfun.pde_residual(label, min(order, 6))
-        checks.append({"name": f"{label} pde residual", "ok": residual.is_zero()})
-    return checks
-
-
-def _suite_qcheck(seed: int, tolerance: float, step: float) -> list:
-    checks = []
-    points = _sample_points(seed, 5)
-    signs = set()
-    for m in ((1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0)):
-        for kappa in (Fraction(7, 10), Fraction(13, 10)):
-            worst = 0.0
-            for q in points:
-                r = qspace.hamiltonian_residual(m, kappa, q, step)
-                worst = max(worst, r.residual)
-                signs.add(r.sign)
-            checks.append(
-                {
-                    "name": f"residual m={list(m)} kappa={kappa}",
-                    "ok": worst < tolerance,
-                    "max_residual": worst,
-                }
-            )
-    checks.append({"name": "consistent sign", "ok": len(signs) == 1})
-    return checks
-
-
-def _suite_special(seed: int) -> list:
-    checks = []
-    points = _sample_points(seed, 5)
-    for n, tol in ((1, 1e-10), (2, 1e-8)):
-        try:
-            worst = max(qspace.special_kappa_identity(n, q) for q in points)
-            checks.append(
-                {
-                    "name": f"special identity n={n}",
-                    "ok": worst < tol,
-                    "max_relative_error": worst,
-                }
-            )
-        except PoleAtKappa as exc:
-            checks.append(
-                {"name": f"special identity n={n}", "ok": False, "pole": str(exc)}
-            )
-    return checks
-
-
-_SUITES = ("golden", "eigen", "recur", "ladder", "genfun", "qcheck", "special", "all")
-
-
 def cmd_verify(args) -> int:
-    checks = []
-    suite = args.suite
-    if suite in ("golden", "all"):
-        checks += _suite_golden()
-    if suite in ("eigen", "all"):
-        checks += _suite_eigen(args.seed)
-    if suite in ("recur", "all"):
-        checks += _suite_recur(args.max_m)
-    if suite in ("ladder", "all"):
-        checks += _suite_ladder()
-    if suite in ("genfun", "all"):
-        checks += _suite_genfun(args.order)
-    if suite in ("qcheck", "all"):
-        checks += _suite_qcheck(args.seed, args.tolerance, args.step)
-    if suite in ("special", "all"):
-        checks += _suite_special(args.seed)
-    ok = all(c["ok"] for c in checks)
-    passed = sum(1 for c in checks if c["ok"])
+    names = checks.SUITES if args.suite == "all" else (args.suite,)
+    report = checks.Report([c for name in names for c in checks.SUITES[name](args)])
     obj = {
-        "suite": suite,
-        "checks": checks,
-        "passed": passed,
-        "total": len(checks),
-        "ok": ok,
+        "suite": args.suite,
+        "checks": [c.to_json_obj() for c in report.records],
+        "passed": sum(c.ok for c in report.records),
+        "total": len(report.records),
+        "ok": report.ok,
     }
     _emit(obj, True)
-    return EXIT_OK if ok else EXIT_VERIFY_FAILED
+    return EXIT_OK if report.ok else EXIT_VERIFY_FAILED
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -391,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_qcheck)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("--suite", choices=_SUITES, default="all",
+    p.add_argument("--suite", choices=(*checks.SUITES, "all"), default="all",
                    help="which suite to run (default all)")
     p.add_argument("--max-m", type=int, default=3, dest="max_m",
                    help="largest row index for the recurrence families")

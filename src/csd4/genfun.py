@@ -19,21 +19,14 @@ from .zpoly import ZPolynomial
 LABELS = ("F0", "G0", "F1", "G1")
 
 
-def _zp(*monomials) -> ZPolynomial:
-    out = {}
-    for coeff, exps in monomials:
-        out[exps] = KappaRational(coeff)
-    return ZPolynomial(out)
-
-
-_Z1 = _zp((1, (1, 0, 0, 0)))
-_Z2 = _zp((1, (0, 1, 0, 0)))
-_Z34_MINUS_Z1 = _zp((1, (0, 0, 1, 1)), (-1, (1, 0, 0, 0)))
+_Z1 = ZPolynomial({(1, 0, 0, 0): 1})
+_Z2 = ZPolynomial({(0, 1, 0, 0): 1})
+_Z34_MINUS_Z1 = ZPolynomial({(0, 0, 1, 1): 1, (1, 0, 0, 0): -1})
 # z3^2 + z4^2 - 2 z2 - 2
-_QUARTIC = _zp((1, (0, 0, 2, 0)), (1, (0, 0, 0, 2)), (-2, (0, 1, 0, 0)), (-2, (0, 0, 0, 0)))
+_QUARTIC = ZPolynomial({(0, 0, 2, 0): 1, (0, 0, 0, 2): 1, (0, 1, 0, 0): -2, (0, 0, 0, 0): -2})
 
 DENOMINATOR = (
-    _zp((1, (0, 0, 0, 0))),
+    ZPolynomial({(0, 0, 0, 0): 1}),
     -_Z1,
     _Z2,
     -_Z34_MINUS_Z1,
@@ -41,11 +34,11 @@ DENOMINATOR = (
     -_Z34_MINUS_Z1,
     _Z2,
     -_Z1,
-    _zp((1, (0, 0, 0, 0))),
+    ZPolynomial({(0, 0, 0, 0): 1}),
 )
 
 _NUM_F0 = (
-    _zp((8, (0, 0, 0, 0))),
+    ZPolynomial({(0, 0, 0, 0): 8}),
     _Z1 * (-7),
     _Z2 * 6,
     _Z34_MINUS_Z1 * (-5),
@@ -56,58 +49,58 @@ _NUM_F0 = (
 )
 
 _NUM_F1 = (
-    _zp((1, (0, 0, 0, 0))),
+    ZPolynomial({(0, 0, 0, 0): 1}),
     ZPolynomial.zero(),
-    _zp((-1, (0, 0, 0, 0))),
+    ZPolynomial({(0, 0, 0, 0): -1}),
 )
 
 _NUM_G0 = (
-    _zp((1, (0, 1, 0, 0)), (-4, (0, 0, 0, 0))),
-    _zp((6, (1, 0, 0, 0)), (-3, (0, 0, 1, 1))),
-    _zp(
-        (-8, (0, 0, 0, 0)),
-        (-2, (2, 0, 0, 0)),
-        (-10, (0, 1, 0, 0)),
-        (-1, (0, 2, 0, 0)),
-        (4, (0, 0, 2, 0)),
-        (2, (1, 0, 1, 1)),
-        (4, (0, 0, 0, 2)),
-    ),
-    _zp(
-        (10, (1, 0, 0, 0)),
-        (5, (1, 1, 0, 0)),
-        (-3, (1, 0, 2, 0)),
-        (-4, (0, 0, 1, 1)),
-        (1, (0, 1, 1, 1)),
-        (-3, (1, 0, 0, 2)),
-    ),
-    _zp(
-        (8, (0, 1, 0, 0)),
-        (-4, (2, 0, 0, 0)),
-        (2, (0, 2, 0, 0)),
-        (-1, (0, 1, 2, 0)),
-        (4, (1, 0, 1, 1)),
-        (-1, (0, 1, 0, 2)),
-    ),
-    _zp(
-        (-6, (1, 0, 0, 0)),
-        (-6, (1, 1, 0, 0)),
-        (-1, (0, 0, 1, 1)),
-        (1, (0, 1, 1, 1)),
-    ),
-    _zp((8, (0, 0, 0, 0)), (6, (2, 0, 0, 0)), (2, (0, 1, 0, 0)), (-1, (0, 2, 0, 0))),
-    _zp((-10, (1, 0, 0, 0)), (1, (1, 1, 0, 0))),
-    _zp((4, (0, 0, 0, 0)), (-1, (0, 1, 0, 0))),
+    ZPolynomial({(0, 1, 0, 0): 1, (0, 0, 0, 0): -4}),
+    ZPolynomial({(1, 0, 0, 0): 6, (0, 0, 1, 1): -3}),
+    ZPolynomial({
+        (0, 0, 0, 0): -8,
+        (2, 0, 0, 0): -2,
+        (0, 1, 0, 0): -10,
+        (0, 2, 0, 0): -1,
+        (0, 0, 2, 0): 4,
+        (1, 0, 1, 1): 2,
+        (0, 0, 0, 2): 4,
+    }),
+    ZPolynomial({
+        (1, 0, 0, 0): 10,
+        (1, 1, 0, 0): 5,
+        (1, 0, 2, 0): -3,
+        (0, 0, 1, 1): -4,
+        (0, 1, 1, 1): 1,
+        (1, 0, 0, 2): -3,
+    }),
+    ZPolynomial({
+        (0, 1, 0, 0): 8,
+        (2, 0, 0, 0): -4,
+        (0, 2, 0, 0): 2,
+        (0, 1, 2, 0): -1,
+        (1, 0, 1, 1): 4,
+        (0, 1, 0, 2): -1,
+    }),
+    ZPolynomial({
+        (1, 0, 0, 0): -6,
+        (1, 1, 0, 0): -6,
+        (0, 0, 1, 1): -1,
+        (0, 1, 1, 1): 1,
+    }),
+    ZPolynomial({(0, 0, 0, 0): 8, (2, 0, 0, 0): 6, (0, 1, 0, 0): 2, (0, 2, 0, 0): -1}),
+    ZPolynomial({(1, 0, 0, 0): -10, (1, 1, 0, 0): 1}),
+    ZPolynomial({(0, 0, 0, 0): 4, (0, 1, 0, 0): -1}),
 )
 
 _NUM_G1 = (
     _Z2,
-    _zp((-1, (0, 0, 1, 1))),
-    _zp((1, (0, 0, 2, 0)), (1, (0, 0, 0, 2)), (-2, (0, 1, 0, 0)), (-1, (0, 0, 0, 0))),
+    ZPolynomial({(0, 0, 1, 1): -1}),
+    ZPolynomial({(0, 0, 2, 0): 1, (0, 0, 0, 2): 1, (0, 1, 0, 0): -2, (0, 0, 0, 0): -1}),
     -_Z34_MINUS_Z1,
     _Z2,
     -_Z1,
-    _zp((1, (0, 0, 0, 0))),
+    ZPolynomial({(0, 0, 0, 0): 1}),
 )
 
 

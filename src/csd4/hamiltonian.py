@@ -41,40 +41,33 @@ def total_energy(m) -> KappaRational:
     return eigenvalue(m) + ground_energy()
 
 
-def _zp(*monomials) -> ZPolynomial:
-    out = ZPolynomial.zero()
-    for coeff, exps in monomials:
-        out = out + ZPolynomial.monomial(exps, coeff)
-    return out
-
-
 # Coefficients of L, with second-order cross terms listed once for j < k.
 _SECOND = {
-    (1, 1): _zp((2, (2, 0, 0, 0)), (-4, (0, 1, 0, 0)), (-16, (0, 0, 0, 0))),
-    (2, 2): _zp(
-        (4, (0, 2, 0, 0)),
-        (-8, (2, 0, 0, 0)),
-        (-8, (0, 0, 2, 0)),
-        (-8, (0, 0, 0, 2)),
-        (-4, (1, 0, 1, 1)),
-        (16, (0, 1, 0, 0)),
-    ),
-    (3, 3): _zp((2, (0, 0, 2, 0)), (-4, (0, 1, 0, 0)), (-16, (0, 0, 0, 0))),
-    (4, 4): _zp((2, (0, 0, 0, 2)), (-4, (0, 1, 0, 0)), (-16, (0, 0, 0, 0))),
-    (1, 2): _zp((4, (1, 1, 0, 0)), (-12, (0, 0, 1, 1)), (-16, (1, 0, 0, 0))),
-    (1, 3): _zp((2, (1, 0, 1, 0)), (-16, (0, 0, 0, 1))),
-    (1, 4): _zp((2, (1, 0, 0, 1)), (-16, (0, 0, 1, 0))),
-    (2, 3): _zp((4, (0, 1, 1, 0)), (-12, (1, 0, 0, 1)), (-16, (0, 0, 1, 0))),
-    (2, 4): _zp((4, (0, 1, 0, 1)), (-12, (1, 0, 1, 0)), (-16, (0, 0, 0, 1))),
-    (3, 4): _zp((2, (0, 0, 1, 1)), (-16, (1, 0, 0, 0))),
+    (1, 1): ZPolynomial({(2, 0, 0, 0): 2, (0, 1, 0, 0): -4, (0, 0, 0, 0): -16}),
+    (2, 2): ZPolynomial({
+        (0, 2, 0, 0): 4,
+        (2, 0, 0, 0): -8,
+        (0, 0, 2, 0): -8,
+        (0, 0, 0, 2): -8,
+        (1, 0, 1, 1): -4,
+        (0, 1, 0, 0): 16,
+    }),
+    (3, 3): ZPolynomial({(0, 0, 2, 0): 2, (0, 1, 0, 0): -4, (0, 0, 0, 0): -16}),
+    (4, 4): ZPolynomial({(0, 0, 0, 2): 2, (0, 1, 0, 0): -4, (0, 0, 0, 0): -16}),
+    (1, 2): ZPolynomial({(1, 1, 0, 0): 4, (0, 0, 1, 1): -12, (1, 0, 0, 0): -16}),
+    (1, 3): ZPolynomial({(1, 0, 1, 0): 2, (0, 0, 0, 1): -16}),
+    (1, 4): ZPolynomial({(1, 0, 0, 1): 2, (0, 0, 1, 0): -16}),
+    (2, 3): ZPolynomial({(0, 1, 1, 0): 4, (1, 0, 0, 1): -12, (0, 0, 1, 0): -16}),
+    (2, 4): ZPolynomial({(0, 1, 0, 1): 4, (1, 0, 1, 0): -12, (0, 0, 0, 1): -16}),
+    (3, 4): ZPolynomial({(0, 0, 1, 1): 2, (1, 0, 0, 0): -16}),
 }
 
 _FIRST = {
     1: ZPolynomial.monomial((1, 0, 0, 0), kappa_linear(2, 12)),
-    2: _zp(
-        (kappa_linear(4, 20), (0, 1, 0, 0)),
-        (kappa_linear(-16, 16), (0, 0, 0, 0)),
-    ),
+    2: ZPolynomial({
+        (0, 1, 0, 0): kappa_linear(4, 20),
+        (0, 0, 0, 0): kappa_linear(-16, 16),
+    }),
     3: ZPolynomial.monomial((0, 0, 1, 0), kappa_linear(2, 12)),
     4: ZPolynomial.monomial((0, 0, 0, 1), kappa_linear(2, 12)),
 }

@@ -43,11 +43,6 @@ def poly_trim(coeffs) -> IntPoly:
     return tuple(cs)
 
 
-def poly_degree(a: IntPoly) -> int:
-    """Degree, with the zero polynomial mapped to -1."""
-    return len(a) - 1
-
-
 def poly_add(a: IntPoly, b: IntPoly) -> IntPoly:
     if len(a) < len(b):
         a, b = b, a
@@ -554,9 +549,6 @@ def _reduce(num: IntPoly, content: int, factors: dict, test=None) -> KappaRation
 
 _KR_ZERO = _make(_ZERO, 1, _NO_FACTORS)
 _KR_ONE = _make(_ONE, 1, _NO_FACTORS)
-
-ZERO = _KR_ZERO
-ONE = _KR_ONE
 
 
 def kappa_linear(const: int, slope: int) -> KappaRational:

@@ -9,6 +9,8 @@ the exact eigenpolynomials is then a genuine two-route check.
 from __future__ import annotations
 
 import cmath
+import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -65,6 +67,17 @@ def min_sine(q) -> float:
         min(abs(cmath.sin(q[j] - q[k])), abs(cmath.sin(q[j] + q[k])))
         for j, k in _PAIRS
     )
+
+
+def generic_points(seed: int, count: int, margin: float = 0.2) -> list:
+    """Deterministic generic torus points, each |sin| factor above margin."""
+    rng = random.Random(seed)
+    points = []
+    while len(points) < count:
+        q = tuple(rng.uniform(0.1, math.pi - 0.1) for _ in range(4))
+        if min_sine(q) > margin:
+            points.append(q)
+    return points
 
 
 def apply_torus_operator(f, q, kappa: float, h: float) -> complex:

@@ -10,8 +10,9 @@ verifies that only the admissible shift slots appear.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from .checks import Check, Report
 from .errors import ResidualNonzero
 from .kappa import KappaRational, kappa_linear
 from .rootsystem import apply_triality
@@ -426,33 +427,10 @@ def _relation_families(m: int):
     )
 
 
-@dataclass
-class CheckRecord:
-    family: str
-    m: int
-    slot: tuple
-    expected: KappaRational
-    actual: KappaRational
-
-    @property
-    def ok(self) -> bool:
-        return self.expected == self.actual
-
-
-@dataclass
-class Report:
-    records: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return all(r.ok for r in self.records)
-
-    @property
-    def failures(self) -> list:
-        return [r for r in self.records if not r.ok]
-
-    def merge(self, other: "Report") -> None:
-        self.records.extend(other.records)
+def _compare(name: str, expected: KappaRational, actual: KappaRational) -> Check:
+    if expected == actual:
+        return Check(name, True)
+    return Check(name, False, {"expected": str(expected), "actual": str(actual)})
 
 
 def verify_closed_forms(max_m: int) -> Report:
@@ -464,7 +442,7 @@ def verify_closed_forms(max_m: int) -> Report:
     if max_m < 1:
         raise ValueError("max_m must be at least 1")
     report = Report()
-    one = KappaRational(1)
+    zero, one = KappaRational(0), KappaRational(1)
     for m in range(1, max_m + 1):
         for label, v, base, slots in _relation_families(m):
             expansion = expand_product(v, base)
@@ -475,26 +453,20 @@ def verify_closed_forms(max_m: int) -> Report:
                 value = one if name is None else closed_form(name, m)
                 if value:
                     expected_slots[slot] = value
-            seen = set(expansion.terms)
-            for slot, value in expected_slots.items():
-                report.records.append(
-                    CheckRecord(label, m, slot, value, expansion.coefficient(slot))
-                )
-            for slot in seen - set(expected_slots):
-                report.records.append(
-                    CheckRecord(label, m, slot, KappaRational(0),
-                                expansion.coefficient(slot))
-                )
+            # every predicted slot, then every extracted slot none predicts
+            for slot in {**expected_slots, **expansion.terms}:
+                report.records.append(_compare(
+                    f"{label} m={m} slot={list(slot)}",
+                    expected_slots.get(slot, zero), expansion.coefficient(slot),
+                ))
         for name in CLOSED_FORM_NAMES:
             cf = closed_form(name, m)
             if not cf:
                 continue  # identically-zero coefficient: its slot is absent
-            report.records.append(
-                CheckRecord(
-                    f"{name}(k=1)", m, (), one,
-                    KappaRational.from_fraction(cf.substitute(1)),
-                )
-            )
+            report.records.append(_compare(
+                f"{name}(k=1) m={m} slot=[]", one,
+                KappaRational.from_fraction(cf.substitute(1)),
+            ))
     return report
 
 
@@ -504,18 +476,16 @@ def triality_consistent(v: int, m, sigma) -> Report:
     image_v = sigma[v]
     base = expand_product(v, tuple(m))
     image = expand_product(image_v, apply_triality(tuple(m), sigma))
+    family = f"triality z{v}->z{image_v}"
     for mp, coeff in base.terms.items():
         slot = apply_triality(mp, sigma)
-        report.records.append(
-            CheckRecord(f"triality z{v}->z{image_v}", 0, slot, coeff,
-                        image.coefficient(slot))
-        )
-    report.records.append(
-        CheckRecord(
-            f"triality z{v}->z{image_v} term count", 0, (),
-            KappaRational(len(base.terms)), KappaRational(len(image.terms)),
-        )
-    )
+        report.records.append(_compare(
+            f"{family} slot={list(slot)}", coeff, image.coefficient(slot)
+        ))
+    report.records.append(_compare(
+        f"{family} term count",
+        KappaRational(len(base.terms)), KappaRational(len(image.terms)),
+    ))
     return report
 
 

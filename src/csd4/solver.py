@@ -14,13 +14,12 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
-from fractions import Fraction
 from types import MappingProxyType
 
 from . import hamiltonian
 from .errors import InternalInconsistency, PoleAtKappa
 from .kappa import KappaRational, poly_from_str
-from .rootsystem import check_dominant, height, root_to_weight
+from .rootsystem import check_dominant, height, root_to_weight, weight_to_root
 from .zpoly import ZPolynomial
 
 
@@ -167,8 +166,8 @@ def solve(m) -> CSPolynomial:
         c.den  # expand the factored denominator here, not at a caller's first use
         coeffs[el.mu] = c
         terms[el.exponent] = c
-    poly = ZPolynomial(terms, _raw=True)
-    # Every caller shares the cached result, so its table is read-only.
+    # Every caller shares the cached result, so its tables are read-only.
+    poly = ZPolynomial(MappingProxyType(terms), _raw=True)
     result = CSPolynomial(m, eps_m, MappingProxyType(coeffs), poly)
     _CACHE[m] = result
     return result
@@ -184,18 +183,11 @@ def specialize(p: CSPolynomial, kappa0) -> ZPolynomial:
     Raises :class:`PoleAtKappa` carrying the offending shift mu when the
     value hits a resonance of some coefficient.
     """
-    kappa0 = Fraction(kappa0)
-    out = {}
-    for mu, coeff in p.coefficients.items():
-        try:
-            value = coeff.substitute(kappa0)
-        except PoleAtKappa as exc:
-            raise PoleAtKappa(kappa0, mu=mu) from exc
-        if value:
-            w = root_to_weight(mu)
-            exp = tuple(p.m[i] - w[i] for i in range(4))
-            out[exp] = KappaRational.from_fraction(value)
-    return ZPolynomial(out, _raw=True)
+    try:
+        return p.polynomial.substitute_kappa(kappa0)
+    except PoleAtKappa as exc:
+        shift = tuple(p.m[i] - exc.mu[i] for i in range(4))
+        raise PoleAtKappa(exc.kappa, mu=weight_to_root(shift)) from exc
 
 
 def verify_eigen(p: CSPolynomial) -> bool:

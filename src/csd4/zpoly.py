@@ -74,7 +74,7 @@ class ZPolynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self.terms)
+        out = self.terms.copy()  # a fast dict copy for a read-only cached table too
         for exps, coeff in other.terms.items():
             acc = out.get(exps)
             if acc is None:
@@ -219,9 +219,6 @@ class ZPolynomial:
 
     def is_constant(self) -> bool:
         return not self.terms or set(self.terms) == {_E0}
-
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
 
     def __eq__(self, other):
         other = self._coerce(other)

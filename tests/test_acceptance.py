@@ -24,6 +24,7 @@ from fractions import Fraction
 
 from csd4 import fixtures, genfun, qspace, recurrence, rootsystem, solver
 from csd4 import hamiltonian as ham
+from csd4.qspace import generic_points
 from csd4.zpoly import ZPolynomial
 
 
@@ -38,16 +39,6 @@ def dominant_weights(total):
     for m in itertools.product(range(total + 1), repeat=4):
         if sum(m) <= total:
             out.append(m)
-    return out
-
-
-def generic_points(seed, count, margin=0.2):
-    rng = random.Random(seed)
-    out = []
-    while len(out) < count:
-        q = tuple(rng.uniform(0.1, math.pi - 0.1) for _ in range(4))
-        if qspace.min_sine(q) > margin:
-            out.append(q)
     return out
 
 

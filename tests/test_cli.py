@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -125,6 +126,22 @@ def test_verify_special_reports_discrepancy(capsys):
     by_name = {c["name"]: c for c in obj["checks"]}
     assert not by_name["special identity n=1"]["ok"]
     assert by_name["special identity n=2"]["ok"]
+    assert code == 1
+
+
+def test_verify_all_record_set(capsys):
+    # Every record of the default run, recorded suite by suite; the float
+    # values are left out, the keys each record carries are not.
+    with open(Path(__file__).with_name("verify_all_records.json")) as fh:
+        want = json.load(fh)
+    assert {suite: len(records) for suite, records in want.items()} == {
+        "golden": 36, "eigen": 45, "recur": 193, "ladder": 8, "genfun": 34,
+        "qcheck": 7, "special": 2,
+    }
+    code, out = run(capsys, "verify", "--suite", "all")
+    got = [[c["name"], c["ok"], sorted(c)] for c in json.loads(out)["checks"]]
+    assert got == [record for records in want.values() for record in records]
+    assert [name for name, ok, _ in got if not ok] == ["special identity n=1"]
     assert code == 1
 
 

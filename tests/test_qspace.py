@@ -1,23 +1,12 @@
 """Numeric validation on the torus: characters, residuals, factorization."""
 
-import math
-import random
 from fractions import Fraction
 
 import pytest
 
 from csd4 import qspace
 from csd4.errors import NearSingularity
-
-
-def generic_points(seed, count, margin=0.2):
-    rng = random.Random(seed)
-    out = []
-    while len(out) < count:
-        q = tuple(rng.uniform(0.1, math.pi - 0.1) for _ in range(4))
-        if qspace.min_sine(q) > margin:
-            out.append(q)
-    return out
+from csd4.qspace import generic_points
 
 
 def test_characters_at_identity():

@@ -93,10 +93,7 @@ def test_quintic_unit_coupling_factorization():
 
 def test_verify_closed_forms_small():
     report = rec.verify_closed_forms(2)
-    assert report.ok, [
-        (r.family, r.m, r.slot, str(r.expected), str(r.actual))
-        for r in report.failures
-    ]
+    assert report.ok, [(r.name, r.detail) for r in report.failures]
     assert len(report.records) > 50
 
 

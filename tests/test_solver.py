@@ -1,5 +1,6 @@
 """Support cones, the coefficient recursion, specialization, verification."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -100,6 +101,28 @@ def test_specialize_pole_reports_mu():
         solver.specialize(solver.solve((2, 0, 0, 0)), Fraction(-1, 3))
     assert err.value.mu == (2, 2, 1, 1)
     assert err.value.kappa == Fraction(-1, 3)
+    # In general the reported mu is the first shift, in (height, mu) order,
+    # whose coefficient's denominator vanishes at the coupling.
+    poles = 0
+    for k0 in (Fraction(-1, 3), Fraction(-1, 2), Fraction(-2, 3), Fraction(-1),
+               Fraction(-3, 2)):
+        for m in itertools.product(range(4), repeat=4):
+            if sum(m) > 3:
+                continue
+            p = solver.solve(m)
+            first = next(
+                (mu for mu in sorted(p.coefficients, key=lambda r: (sum(r), r))
+                 if sum(c * k0**i for i, c in enumerate(p.coefficients[mu].den)) == 0),
+                None,
+            )
+            if first is None:
+                solver.specialize(p, k0)
+                continue
+            poles += 1
+            with pytest.raises(PoleAtKappa) as err:
+                solver.specialize(p, k0)
+            assert (err.value.mu, err.value.kappa) == (first, k0), (m, k0)
+    assert poles > 0
 
 
 def test_verify_eigen():
@@ -140,7 +163,11 @@ def test_cached_coefficients_are_read_only():
     before = dict(p.coefficients)
     with pytest.raises(TypeError):
         p.coefficients[(0, 0, 0, 0)] = KappaRational(2)
-    assert solver.solve((1, 1, 0, 0)).coefficients == before
+    with pytest.raises(TypeError):
+        p.polynomial.terms[(1, 1, 0, 0)] = KappaRational(99)
+    again = solver.solve((1, 1, 0, 0))
+    assert again.coefficients == before
+    assert solver.verify_eigen(again)
 
 
 def test_solve_runs_no_polynomial_gcd(monkeypatch):
