@@ -132,11 +132,8 @@ def qcheck(opts) -> list:
     signs = set()
     for m in ((1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0)):
         for kappa in (Fraction(7, 10), Fraction(13, 10)):
-            worst = 0.0
-            for q in points:
-                r = qspace.hamiltonian_residual(m, kappa, q, opts.step)
-                worst = max(worst, r.residual)
-                signs.add(r.sign)
+            _, worst, seen = qspace.scan_residuals(m, kappa, points, opts.step)
+            signs |= seen
             checks.append(Check(f"residual m={list(m)} kappa={kappa}",
                                 worst < opts.tolerance, {"max_residual": worst}))
     checks.append(Check("consistent sign", len(signs) == 1))

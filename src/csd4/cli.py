@@ -34,13 +34,28 @@ def _parse_m(text: str):
     return parts
 
 
-def _parse_kappa(text: str):
-    if text == "symbolic":
-        return None
+def _parse_coupling(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"bad coupling value {text!r}")
+
+
+def _parse_kappa(text: str):
+    return None if text == "symbolic" else _parse_coupling(text)
+
+
+def _bounded(convert, low, strict=False):
+    """An argparse type: ``convert(text)``, at least ``low`` (above it if strict)."""
+    def parse(text: str):
+        value = convert(text)
+        if not (value > low if strict else value >= low):
+            bound = f"{'>' if strict else '>='} {low}"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {text!r}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names it in "invalid int value"
+    return parse
 
 
 def _emit(obj, as_json: bool, text_fallback=None):
@@ -114,14 +129,9 @@ def cmd_genfun(args) -> int:
 
 def cmd_qcheck(args) -> int:
     points = qspace.generic_points(args.seed, args.samples)
-    rows = []
-    worst = 0.0
-    signs = set()
-    for q in points:
-        r = qspace.hamiltonian_residual(args.m, args.kappa, q, args.step)
-        rows.append({"q": list(q), "residual": r.residual, "sign": r.sign})
-        worst = max(worst, r.residual)
-        signs.add(r.sign)
+    results, worst, signs = qspace.scan_residuals(args.m, args.kappa, points, args.step)
+    rows = [{"q": list(q), "residual": r.residual, "sign": r.sign}
+            for q, r in zip(points, results)]
     ok = worst < args.tolerance and len(signs) == 1
     obj = {
         "m": list(args.m),
@@ -188,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("genfun", help="generating-function expansion and checks")
     p.add_argument("--label", choices=genfun.LABELS, required=True,
                    help="which generating function")
-    p.add_argument("--order", type=int, default=6,
+    p.add_argument("--order", type=_bounded(int, 0), default=6,
                    help="truncation order in t (default 6)")
     p.add_argument("--check", choices=("series", "pde"), default=None,
                    help="compare against the solver, or test the defining "
@@ -198,11 +208,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("qcheck", help="finite-difference residuals on the torus")
     p.add_argument("--m", type=_parse_m, required=True,
                    help="quantum numbers of the eigenfunction")
-    p.add_argument("--kappa", type=Fraction, default=Fraction(1),
+    p.add_argument("--kappa", type=_parse_coupling, default=Fraction(1),
                    help="rational coupling value (default 1)")
-    p.add_argument("--samples", type=int, default=5,
+    p.add_argument("--samples", type=_bounded(int, 1), default=5,
                    help="number of generic torus points (default 5)")
-    p.add_argument("--step", type=float, default=1e-4,
+    p.add_argument("--step", type=_bounded(float, 0, strict=True), default=1e-4,
                    help="finite-difference step (default 1e-4)")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for the point sampler (default 0)")
@@ -213,13 +223,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", choices=(*checks.SUITES, "all"), default="all",
                    help="which suite to run (default all)")
-    p.add_argument("--max-m", type=int, default=3, dest="max_m",
+    p.add_argument("--max-m", type=_bounded(int, 1), default=3, dest="max_m",
                    help="largest row index for the recurrence families")
-    p.add_argument("--order", type=int, default=6,
+    p.add_argument("--order", type=_bounded(int, 0), default=6,
                    help="series truncation order for the genfun suite")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for sampled points and random weights")
-    p.add_argument("--step", type=float, default=1e-4,
+    p.add_argument("--step", type=_bounded(float, 0, strict=True), default=1e-4,
                    help="finite-difference step for the qcheck suite")
     p.add_argument("--tolerance", type=float, default=1e-6,
                    help="residual threshold for the qcheck suite")

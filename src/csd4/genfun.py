@@ -14,44 +14,42 @@ from fractions import Fraction
 from . import hamiltonian, solver
 from .kappa import KappaRational
 from .series import TauSeries
-from .zpoly import ZPolynomial
+from .zpoly import Z1, Z2, ZPolynomial
 
 LABELS = ("F0", "G0", "F1", "G1")
 
 
-_Z1 = ZPolynomial({(1, 0, 0, 0): 1})
-_Z2 = ZPolynomial({(0, 1, 0, 0): 1})
 _Z34_MINUS_Z1 = ZPolynomial({(0, 0, 1, 1): 1, (1, 0, 0, 0): -1})
 # z3^2 + z4^2 - 2 z2 - 2
 _QUARTIC = ZPolynomial({(0, 0, 2, 0): 1, (0, 0, 0, 2): 1, (0, 1, 0, 0): -2, (0, 0, 0, 0): -2})
 
 DENOMINATOR = (
-    ZPolynomial({(0, 0, 0, 0): 1}),
-    -_Z1,
-    _Z2,
+    ZPolynomial.constant(1),
+    -Z1,
+    Z2,
     -_Z34_MINUS_Z1,
     _QUARTIC,
     -_Z34_MINUS_Z1,
-    _Z2,
-    -_Z1,
-    ZPolynomial({(0, 0, 0, 0): 1}),
+    Z2,
+    -Z1,
+    ZPolynomial.constant(1),
 )
 
 _NUM_F0 = (
-    ZPolynomial({(0, 0, 0, 0): 8}),
-    _Z1 * (-7),
-    _Z2 * 6,
+    ZPolynomial.constant(8),
+    Z1 * (-7),
+    Z2 * 6,
     _Z34_MINUS_Z1 * (-5),
     _QUARTIC * 4,
     _Z34_MINUS_Z1 * (-3),
-    _Z2 * 2,
-    -_Z1,
+    Z2 * 2,
+    -Z1,
 )
 
 _NUM_F1 = (
-    ZPolynomial({(0, 0, 0, 0): 1}),
+    ZPolynomial.constant(1),
     ZPolynomial.zero(),
-    ZPolynomial({(0, 0, 0, 0): -1}),
+    ZPolynomial.constant(-1),
 )
 
 _NUM_G0 = (
@@ -94,13 +92,13 @@ _NUM_G0 = (
 )
 
 _NUM_G1 = (
-    _Z2,
+    Z2,
     ZPolynomial({(0, 0, 1, 1): -1}),
     ZPolynomial({(0, 0, 2, 0): 1, (0, 0, 0, 2): 1, (0, 1, 0, 0): -2, (0, 0, 0, 0): -1}),
     -_Z34_MINUS_Z1,
-    _Z2,
-    -_Z1,
-    ZPolynomial({(0, 0, 0, 0): 1}),
+    Z2,
+    -Z1,
+    ZPolynomial.constant(1),
 )
 
 

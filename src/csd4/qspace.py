@@ -144,6 +144,13 @@ def hamiltonian_residual(m, kappa, q, h: float = 1e-4) -> ResidualResult:
     return ResidualResult(res_plus, +1, res_minus, res_plus)
 
 
+def scan_residuals(m, kappa, points, h: float):
+    """:func:`hamiltonian_residual` at each point, the worst one, and the signs."""
+    results = [hamiltonian_residual(m, kappa, q, h) for q in points]
+    worst = max([0.0] + [r.residual for r in results])
+    return results, worst, {r.sign for r in results}
+
+
 def special_kappa_identity(n: int, q) -> float:
     """Relative error of the factorized form at coupling -(n-1)/2.
 

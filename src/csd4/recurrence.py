@@ -15,78 +15,27 @@ from dataclasses import dataclass
 from .checks import Check, Report
 from .errors import ResidualNonzero
 from .kappa import KappaRational, kappa_linear
-from .rootsystem import apply_triality
+from .rootsystem import (
+    TRIALITY_MAPS, WEYL_VECTOR_ROOT, apply_triality, weight_orbit, weight_to_root,
+)
 from .solver import CSPolynomial, solve
 from .zpoly import ZPolynomial
 from . import hamiltonian
 
-# Quantum-number displacements (weights of the multiplied representation).
-# Vector-like characters carry eight shifts; z2 multiplies by the adjoint,
-# whose four zero weights are folded into the single diagonal slot.
+# Quantum-number displacements: the weights of the multiplied representation,
+# highest first.  z2 multiplies by the adjoint, whose four zero weights are
+# folded into the single diagonal slot.
 SHIFTS = {
-    1: (
-        (1, 0, 0, 0),
-        (-1, 0, 0, 0),
-        (1, -1, 0, 0),
-        (-1, 1, 0, 0),
-        (0, 1, -1, -1),
-        (0, -1, 1, 1),
-        (0, 0, 1, -1),
-        (0, 0, -1, 1),
-    ),
-    2: (
-        (0, 1, 0, 0),
-        (0, -1, 0, 0),
-        (2, -1, 0, 0),
-        (-2, 1, 0, 0),
-        (0, -1, 2, 0),
-        (0, 1, -2, 0),
-        (0, -1, 0, 2),
-        (0, 1, 0, -2),
-        (-1, 2, -1, -1),
-        (1, -2, 1, 1),
-        (1, 1, -1, -1),
-        (-1, -1, 1, 1),
-        (-1, 1, 1, -1),
-        (1, -1, -1, 1),
-        (-1, 1, -1, 1),
-        (1, -1, 1, -1),
-        (-1, 0, 1, 1),
-        (1, 0, -1, -1),
-        (1, 0, -1, 1),
-        (-1, 0, 1, -1),
-        (1, 0, 1, -1),
-        (-1, 0, -1, 1),
-        (1, -1, 1, 1),
-        (-1, 1, -1, -1),
-        (0, 0, 0, 0),
-    ),
-    3: (
-        (0, 0, 1, 0),
-        (0, 0, -1, 0),
-        (0, -1, 1, 0),
-        (0, 1, -1, 0),
-        (-1, 1, 0, -1),
-        (1, -1, 0, 1),
-        (1, 0, 0, -1),
-        (-1, 0, 0, 1),
-    ),
-    4: (
-        (0, 0, 0, 1),
-        (0, 0, 0, -1),
-        (0, -1, 0, 1),
-        (0, 1, 0, -1),
-        (-1, 1, -1, 0),
-        (1, -1, 1, 0),
-        (-1, 0, 1, 0),
-        (1, 0, -1, 0),
-    ),
+    v: tuple(weight_orbit(tuple(int(i == v) for i in range(1, 5))))
+    for v in (1, 2, 3, 4)
 }
+SHIFTS[2] += ((0, 0, 0, 0),)
+_RHO1, _RHO2, _RHO3, _RHO4 = WEYL_VECTOR_ROOT
 
 
 def _monomial_key(e):
     # Height order on shifts == descending Weyl-vector pairing on exponents.
-    return (3 * e[0] + 5 * e[1] + 3 * e[2] + 3 * e[3], e)
+    return (_RHO1 * e[0] + _RHO2 * e[1] + _RHO3 * e[2] + _RHO4 * e[3], e)
 
 
 @dataclass(frozen=True)
@@ -133,10 +82,6 @@ def expand_product(v: int, m) -> RecurrenceExpansion:
 # Closed forms for the one-nonzero-quantum-number families.
 
 
-def _lin(c0: int, c1: int) -> KappaRational:
-    return kappa_linear(c0, c1)
-
-
 def _ratio(num_factors, den_factors) -> KappaRational:
     # Dividing by one linear factor at a time keeps the denominator factored.
     out = KappaRational(1)
@@ -159,136 +104,140 @@ def closed_form(name: str, m: int) -> KappaRational:
 
 def _cf_a(m):
     return _ratio(
-        [_lin(m, 0), _lin(m, 2), _lin(m - 1, 4), _lin(m - 1, 6)],
-        [_lin(m - 1, 1), _lin(m - 1, 3), _lin(m, 3), _lin(m, 5)],
+        [kappa_linear(m, 0), kappa_linear(m, 2),
+         kappa_linear(m - 1, 4), kappa_linear(m - 1, 6)],
+        [kappa_linear(m - 1, 1), kappa_linear(m - 1, 3),
+         kappa_linear(m, 3), kappa_linear(m, 5)],
     )
 
 
 def _cf_c(m):
-    return _ratio([_lin(m, 0), _lin(m - 1, 2)], [_lin(m, 1), _lin(m - 1, 1)])
+    return _ratio([kappa_linear(m, 0), kappa_linear(m - 1, 2)],
+                  [kappa_linear(m, 1), kappa_linear(m - 1, 1)])
 
 
 def _cf_b(m):
-    return _ratio([_lin(m, 0), _lin(m - 1, 4)], [_lin(m - 1, 1), _lin(m, 3)])
+    return _ratio([kappa_linear(m, 0), kappa_linear(m - 1, 4)],
+                  [kappa_linear(m - 1, 1), kappa_linear(m, 3)])
 
 
 def _cf_d(m):
     return _ratio(
         [
-            _lin(2 * m, 0),
-            _lin(m, 1),
-            _lin(m - 1, 3),
-            _lin(m - 1, 4),
-            _lin(2 * m - 1, 6),
+            kappa_linear(2 * m, 0),
+            kappa_linear(m, 1),
+            kappa_linear(m - 1, 3),
+            kappa_linear(m - 1, 4),
+            kappa_linear(2 * m - 1, 6),
         ],
         [
-            _lin(m - 1, 1),
-            _lin(m - 1, 2),
-            _lin(m, 3),
-            _lin(2 * m - 1, 5),
-            _lin(2 * m, 5),
+            kappa_linear(m - 1, 1),
+            kappa_linear(m - 1, 2),
+            kappa_linear(m, 3),
+            kappa_linear(2 * m - 1, 5),
+            kappa_linear(2 * m, 5),
         ],
     )
 
 
 def _cf_e(m):
-    return _ratio([_lin(m, 0), _lin(m - 1, 3)], [_lin(m - 1, 1), _lin(m, 2)])
+    return _ratio([kappa_linear(m, 0), kappa_linear(m - 1, 3)],
+                  [kappa_linear(m - 1, 1), kappa_linear(m, 2)])
 
 
 def _cf_f(m):
     return _ratio(
         [
-            _lin(m * (m - 1), 0),
-            _lin(m - 2, 2),
-            _lin(m, 2),
-            _lin(m - 1, 4),
-            _lin(m - 1, 5),
+            kappa_linear(m * (m - 1), 0),
+            kappa_linear(m - 2, 2),
+            kappa_linear(m, 2),
+            kappa_linear(m - 1, 4),
+            kappa_linear(m - 1, 5),
         ],
         [
-            _lin(m - 2, 1),
-            _lin(m - 1, 1),
-            _lin(m - 1, 1),
-            _lin(m - 1, 3),
-            _lin(m, 3),
-            _lin(m, 4),
+            kappa_linear(m - 2, 1),
+            kappa_linear(m - 1, 1),
+            kappa_linear(m - 1, 1),
+            kappa_linear(m - 1, 3),
+            kappa_linear(m, 3),
+            kappa_linear(m, 4),
         ],
     )
-
-
-def _cf_g(m):
-    return _cf_e(m)
 
 
 def _cf_h(m):
     return _ratio(
         [KappaRational((4 * (m * m - 1), 4 * (6 * m - 1), 20, -12))],
-        [_lin(m - 1, 1), _lin(1, 3), _lin(m + 1, 5)],
+        [kappa_linear(m - 1, 1), kappa_linear(1, 3), kappa_linear(m + 1, 5)],
     )
 
 
 def _cf_k(m):
     return _ratio(
         [
-            _lin(4 * m, 0),
-            _lin(m, 1),
-            _lin(m, 1),
-            _lin(m, 2),
-            _lin(m - 1, 3),
-            _lin(m - 1, 4),
-            _lin(m - 1, 4),
-            _lin(2 * m - 1, 4),
-            _lin(m - 1, 5),
-            _lin(2 * m - 1, 6),
+            kappa_linear(4 * m, 0),
+            kappa_linear(m, 1),
+            kappa_linear(m, 1),
+            kappa_linear(m, 2),
+            kappa_linear(m - 1, 3),
+            kappa_linear(m - 1, 4),
+            kappa_linear(m - 1, 4),
+            kappa_linear(2 * m - 1, 4),
+            kappa_linear(m - 1, 5),
+            kappa_linear(2 * m - 1, 6),
         ],
         [
-            _lin(m - 1, 1),
-            _lin(m - 1, 2),
-            _lin(m - 1, 2),
-            _lin(m, 3),
-            _lin(m, 3),
-            _lin(m, 4),
-            _lin(2 * m - 2, 5),
-            _lin(2 * m - 1, 5),
-            _lin(2 * m - 1, 5),
-            _lin(2 * m, 5),
+            kappa_linear(m - 1, 1),
+            kappa_linear(m - 1, 2),
+            kappa_linear(m - 1, 2),
+            kappa_linear(m, 3),
+            kappa_linear(m, 3),
+            kappa_linear(m, 4),
+            kappa_linear(2 * m - 2, 5),
+            kappa_linear(2 * m - 1, 5),
+            kappa_linear(2 * m - 1, 5),
+            kappa_linear(2 * m, 5),
         ],
     )
 
 
 def _cf_p(m):
-    return _ratio([_lin(m, 0), _lin(m - 1, 2)], [_lin(m - 1, 1), _lin(m, 1)])
+    return _ratio([kappa_linear(m, 0), kappa_linear(m - 1, 2)],
+                  [kappa_linear(m - 1, 1), kappa_linear(m, 1)])
 
 
 def _cf_q(m):
     return _ratio(
         [
-            _lin(2 * m * (m - 1), 0),
-            _lin(m, 1),
-            _lin(m, 1),
-            _lin(m - 2, 2),
-            _lin(m - 1, 3),
-            _lin(m - 1, 3),
-            _lin(m - 1, 3),
-            _lin(2 * m - 1, 6),
+            kappa_linear(2 * m * (m - 1), 0),
+            kappa_linear(m, 1),
+            kappa_linear(m, 1),
+            kappa_linear(m - 2, 2),
+            kappa_linear(m - 1, 3),
+            kappa_linear(m - 1, 3),
+            kappa_linear(m - 1, 3),
+            kappa_linear(2 * m - 1, 6),
         ],
         [
-            _lin(m - 2, 1),
-            _lin(m - 1, 1),
-            _lin(m - 1, 1),
-            _lin(m - 1, 2),
-            _lin(m - 1, 2),
-            _lin(m, 2),
-            _lin(m, 2),
-            _lin(2 * m - 1, 5),
-            _lin(2 * m, 5),
+            kappa_linear(m - 2, 1),
+            kappa_linear(m - 1, 1),
+            kappa_linear(m - 1, 1),
+            kappa_linear(m - 1, 2),
+            kappa_linear(m - 1, 2),
+            kappa_linear(m, 2),
+            kappa_linear(m, 2),
+            kappa_linear(2 * m - 1, 5),
+            kappa_linear(2 * m, 5),
         ],
     )
 
 
 def _cf_r(m):
     return _ratio(
-        [_lin(m, 0), _lin(m, 1), _lin(m - 1, 3), _lin(m - 1, 4)],
-        [_lin(m - 1, 1), _lin(m - 1, 2), _lin(m, 2), _lin(m, 3)],
+        [kappa_linear(m, 0), kappa_linear(m, 1),
+         kappa_linear(m - 1, 3), kappa_linear(m - 1, 4)],
+        [kappa_linear(m - 1, 1), kappa_linear(m - 1, 2),
+         kappa_linear(m, 2), kappa_linear(m, 3)],
     )
 
 
@@ -310,11 +259,11 @@ def _cf_s(m):
     return _ratio(
         [KappaRational(-4), quintic_s_numerator(m)],
         [
-            _lin(1, 1),
-            _lin(m - 1, 1),
-            _lin(m + 1, 4),
-            _lin(2 * m - 1, 5),
-            _lin(2 * m + 1, 5),
+            kappa_linear(1, 1),
+            kappa_linear(m - 1, 1),
+            kappa_linear(m + 1, 4),
+            kappa_linear(2 * m - 1, 5),
+            kappa_linear(2 * m + 1, 5),
         ],
     )
 
@@ -326,7 +275,7 @@ _CLOSED_FORMS = {
     "d": _cf_d,
     "e": _cf_e,
     "f": _cf_f,
-    "g": _cf_g,
+    "g": _cf_e,
     "h": _cf_h,
     "k": _cf_k,
     "p": _cf_p,
@@ -338,83 +287,33 @@ _CLOSED_FORMS = {
 CLOSED_FORM_NAMES = tuple(sorted(_CLOSED_FORMS))
 
 
-# Relation families: variable, base quantum numbers, and the expected
-# coefficient name per shifted slot (None marks the unit leading slot).
+# Relation families: label, variable, base quantum numbers, and the expected
+# coefficient name per shifted slot (None marks the unit leading slot).  Each
+# representative (variable v, index u of the nonzero quantum number, slots)
+# stands for its triality images, one per distinct (sigma(v), sigma(u)).
 def _relation_families(m: int):
-    return (
-        ("z1*P[m000]", 1, (m, 0, 0, 0), {
+    representatives = (
+        (1, 1, {
             (m + 1, 0, 0, 0): None,
             (m - 1, 0, 0, 0): "a",
             (m - 1, 1, 0, 0): "c",
         }),
-        ("z3*P[00m0]", 3, (0, 0, m, 0), {
-            (0, 0, m + 1, 0): None,
-            (0, 0, m - 1, 0): "a",
-            (0, 1, m - 1, 0): "c",
-        }),
-        ("z4*P[000m]", 4, (0, 0, 0, m), {
-            (0, 0, 0, m + 1): None,
-            (0, 0, 0, m - 1): "a",
-            (0, 1, 0, m - 1): "c",
-        }),
-        ("z1*P[00m0]", 1, (0, 0, m, 0), {
+        (1, 3, {
             (1, 0, m, 0): None,
             (0, 0, m - 1, 1): "b",
         }),
-        ("z1*P[000m]", 1, (0, 0, 0, m), {
-            (1, 0, 0, m): None,
-            (0, 0, 1, m - 1): "b",
-        }),
-        ("z3*P[m000]", 3, (m, 0, 0, 0), {
-            (m, 0, 1, 0): None,
-            (m - 1, 0, 0, 1): "b",
-        }),
-        ("z3*P[000m]", 3, (0, 0, 0, m), {
-            (0, 0, 1, m): None,
-            (1, 0, 0, m - 1): "b",
-        }),
-        ("z4*P[m000]", 4, (m, 0, 0, 0), {
-            (m, 0, 0, 1): None,
-            (m - 1, 0, 1, 0): "b",
-        }),
-        ("z4*P[00m0]", 4, (0, 0, m, 0), {
-            (0, 0, m, 1): None,
-            (1, 0, m - 1, 0): "b",
-        }),
-        ("z1*P[0m00]", 1, (0, m, 0, 0), {
+        (1, 2, {
             (1, m, 0, 0): None,
             (1, m - 1, 0, 0): "d",
             (0, m - 1, 1, 1): "e",
         }),
-        ("z3*P[0m00]", 3, (0, m, 0, 0), {
-            (0, m, 1, 0): None,
-            (0, m - 1, 1, 0): "d",
-            (1, m - 1, 0, 1): "e",
-        }),
-        ("z4*P[0m00]", 4, (0, m, 0, 0), {
-            (0, m, 0, 1): None,
-            (0, m - 1, 0, 1): "d",
-            (1, m - 1, 1, 0): "e",
-        }),
-        ("z2*P[m000]", 2, (m, 0, 0, 0), {
+        (2, 1, {
             (m, 1, 0, 0): None,
             (m - 2, 1, 0, 0): "f",
             (m - 1, 0, 1, 1): "g",
             (m, 0, 0, 0): "h",
         }),
-        ("z2*P[00m0]", 2, (0, 0, m, 0), {
-            (0, 1, m, 0): None,
-            (0, 1, m - 2, 0): "f",
-            (1, 0, m - 1, 1): "g",
-            (0, 0, m, 0): "h",
-        }),
-        ("z2*P[000m]", 2, (0, 0, 0, m), {
-            (0, 1, 0, m): None,
-            (0, 1, 0, m - 2): "f",
-            (1, 0, 1, m - 1): "g",
-            (0, 0, 0, m): "h",
-        }),
-        ("z2*P[0m00]", 2, (0, m, 0, 0), {
+        (2, 2, {
             (0, m + 1, 0, 0): None,
             (0, m - 1, 0, 0): "k",
             (1, m - 1, 1, 1): "p",
@@ -425,6 +324,18 @@ def _relation_families(m: int):
             (0, m, 0, 0): "s",
         }),
     )
+    families = []
+    for v, u, slots in representatives:
+        images = {}
+        for sigma in TRIALITY_MAPS:
+            images.setdefault((sigma[v], sigma[u]), sigma)
+        for (image_v, image_u), sigma in sorted(images.items()):
+            row = "".join("m" if i == image_u else "0" for i in range(1, 5))
+            base = tuple(m if i == image_u else 0 for i in range(1, 5))
+            families.append((f"z{image_v}*P[{row}]", image_v, base, {
+                apply_triality(slot, sigma): name for slot, name in slots.items()
+            }))
+    return families
 
 
 def _compare(name: str, expected: KappaRational, actual: KappaRational) -> Check:
@@ -494,8 +405,6 @@ def triality_consistent(v: int, m, sigma) -> Report:
 
 
 def _wrap(m, poly: ZPolynomial) -> CSPolynomial:
-    from .rootsystem import weight_to_root
-
     coeffs = {}
     for exps, c in poly.terms.items():
         mu = weight_to_root(tuple(m[i] - exps[i] for i in range(4)))
@@ -515,11 +424,13 @@ def ladder_next(m: int) -> CSPolynomial:
     p_m = solve((m, 0, 0, 0)).polynomial
     p_prev = solve((m - 1, 0, 0, 0)).polynomial
     comm = hamiltonian.commutator(1, p_m)
-    c1 = KappaRational(1) / (KappaRational(4) * _lin(m, 1))
-    c2 = _lin(1, 4) / (KappaRational(2) * _lin(m, 1))
+    c1 = KappaRational(1) / (KappaRational(4) * kappa_linear(m, 1))
+    c2 = kappa_linear(1, 4) / (KappaRational(2) * kappa_linear(m, 1))
     c3 = _ratio(
-        [_lin(m, 0), _lin(m, 2), _lin(m - 1, 4), _lin(m - 1, 6)],
-        [_lin(m - 1, 1), _lin(m - 1, 3), _lin(m, 1), _lin(m, 3)],
+        [kappa_linear(m, 0), kappa_linear(m, 2),
+         kappa_linear(m - 1, 4), kappa_linear(m - 1, 6)],
+        [kappa_linear(m - 1, 1), kappa_linear(m - 1, 3),
+         kappa_linear(m, 1), kappa_linear(m, 3)],
     )
     poly = (
         comm * c1

@@ -31,23 +31,6 @@ INVERSE_CARTAN = (
 WEYL_VECTOR: Weight = (1, 1, 1, 1)
 WEYL_VECTOR_ROOT: Root = (3, 5, 3, 3)
 
-# The 12 positive roots in simple-root coordinates, by increasing height:
-# the four simple roots, then the sums filling up to the highest root.
-_POSITIVE_ROOTS = (
-    (1, 0, 0, 0),
-    (0, 1, 0, 0),
-    (0, 0, 1, 0),
-    (0, 0, 0, 1),
-    (1, 1, 0, 0),
-    (0, 1, 1, 0),
-    (0, 1, 0, 1),
-    (1, 1, 1, 0),
-    (1, 1, 0, 1),
-    (0, 1, 1, 1),
-    (1, 1, 1, 1),
-    (1, 2, 1, 1),
-)
-
 
 def positive_roots() -> list:
     """The 12 positive roots, sorted by (height, lexicographic)."""
@@ -74,6 +57,29 @@ def weight_to_root(w: Weight) -> Root:
             raise ValueError(f"{w} is not in the root lattice")
         out.append(int(x))
     return tuple(out)
+
+
+def weight_orbit(w: Weight) -> list:
+    """The Weyl orbit of ``w`` in weight coordinates, ``w`` first.
+
+    Built by closing under the simple reflections: the reflection in a_j
+    subtracts a weight's j-th coordinate times row j of the Cartan matrix.
+    """
+    orbit = [tuple(w)]
+    for x in orbit:  # grows while it is walked
+        for j in range(4):
+            y = tuple(x[i] - x[j] * CARTAN[j][i] for i in range(4))
+            if y not in orbit:
+                orbit.append(y)
+    return orbit
+
+
+# The 12 positive roots in simple-root coordinates: the roots form the orbit
+# of the adjoint weight, which is the highest root.
+_POSITIVE_ROOTS = tuple(
+    r for r in map(weight_to_root, weight_orbit((0, 1, 0, 0)))
+    if min(r) >= 0
+)
 
 
 def inner(u: Weight, v: Weight) -> Fraction:

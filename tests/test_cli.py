@@ -145,10 +145,26 @@ def test_verify_all_record_set(capsys):
     assert code == 1
 
 
-def test_usage_error_exit_code():
+@pytest.mark.parametrize("argv", [
+    ["compute", "--m", "1,2"],
+    ["genfun", "--label", "F0", "--order", "-1"],
+    ["verify", "--suite", "recur", "--max-m", "0"],
+    ["verify", "--suite", "genfun", "--order", "-3"],
+    ["verify", "--suite", "qcheck", "--step", "0"],
+    ["qcheck", "--m", "1,0,0,0", "--step", "0"],
+    ["qcheck", "--m", "1,0,0,0", "--kappa", "1/0"],
+    ["qcheck", "--m", "1,0,0,0", "--kappa", "symbolic"],
+    ["qcheck", "--m", "1,0,0,0", "--samples", "0"],
+], ids=[
+    "compute-short-m", "genfun-order", "verify-max-m", "verify-order",
+    "verify-step", "qcheck-step", "qcheck-kappa-pole", "qcheck-kappa-symbolic",
+    "qcheck-samples",
+])
+def test_usage_error_exit_code(argv, capsys):
     with pytest.raises(SystemExit) as err:
-        main(["compute", "--m", "1,2"])
+        main(argv)
     assert err.value.code == 2
+    assert "usage: csd4" in capsys.readouterr().err
 
 
 def test_pole_exit_code(capsys):

@@ -1,8 +1,11 @@
 """Character-product expansions, printed closed forms, ladder construction."""
 
+import cmath
+
 import pytest
 
 from csd4 import recurrence as rec
+from csd4 import qspace
 from csd4 import rootsystem as rs
 from csd4 import solver
 from csd4.errors import ResidualNonzero
@@ -25,6 +28,22 @@ def test_shift_table_shapes():
     roots_w = {rs.root_to_weight(r) for r in rs.positive_roots()}
     nonzero = {s for s in rec.SHIFTS[2] if s != (0, 0, 0, 0)}
     assert nonzero == roots_w | {tuple(-c for c in w) for w in roots_w}
+    # the leading shift is the highest weight, the v-th fundamental weight
+    for v in (1, 2, 3, 4):
+        assert rec.SHIFTS[v][0] == tuple(int(i == v) for i in (1, 2, 3, 4))
+    # Independently of the Cartan matrix: the weights with multiplicity sum
+    # to the trigonometric characters, sum_w mult(w) exp(2i <w, q>).
+    omega = ((1, 0, 0, 0), (1, 1, 0, 0), (0.5, 0.5, 0.5, -0.5), (0.5, 0.5, 0.5, 0.5))
+    for q in qspace.generic_points(0, 3):
+        characters = qspace.characters_from_q(q)
+        for v in (1, 2, 3, 4):
+            total = 0j
+            for w in rec.SHIFTS[v]:
+                mult = 4 if v == 2 and w == (0, 0, 0, 0) else 1
+                x = [sum(w[j] * omega[j][i] for j in range(4)) for i in range(4)]
+                total += mult * cmath.exp(2j * sum(x[i] * q[i] for i in range(4)))
+            want = characters[v - 1]
+            assert abs(total - want) / abs(want) < 1e-12
 
 
 def test_three_term_relation_m1():
