@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -45,11 +46,18 @@ def _parse_kappa(text: str):
     return None if text == "symbolic" else _parse_coupling(text)
 
 
-def _bounded(convert, low, strict=False):
-    """An argparse type: ``convert(text)``, at least ``low`` (above it if strict)."""
+def _bounded(convert, low=None, strict=False):
+    """An argparse type: ``convert(text)``, finite as a float, and at least
+    ``low`` (above it if strict) unless ``low`` is None."""
     def parse(text: str):
         value = convert(text)
-        if not (value > low if strict else value >= low):
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:  # a number beyond the float range
+            finite = False
+        if not finite:
+            raise argparse.ArgumentTypeError(f"must be finite as a float, got {text!r}")
+        if low is not None and not (value > low if strict else value >= low):
             bound = f"{'>' if strict else '>='} {low}"
             raise argparse.ArgumentTypeError(f"must be {bound}, got {text!r}")
         return value
@@ -208,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("qcheck", help="finite-difference residuals on the torus")
     p.add_argument("--m", type=_parse_m, required=True,
                    help="quantum numbers of the eigenfunction")
-    p.add_argument("--kappa", type=_parse_coupling, default=Fraction(1),
+    p.add_argument("--kappa", type=_bounded(_parse_coupling), default=Fraction(1),
                    help="rational coupling value (default 1)")
     p.add_argument("--samples", type=_bounded(int, 1), default=5,
                    help="number of generic torus points (default 5)")
@@ -216,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="finite-difference step (default 1e-4)")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for the point sampler (default 0)")
-    p.add_argument("--tolerance", type=float, default=1e-6,
+    p.add_argument("--tolerance", type=_bounded(float, 0, strict=True), default=1e-6,
                    help="pass threshold on the relative residual")
     p.set_defaults(func=cmd_qcheck)
 
@@ -231,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="seed for sampled points and random weights")
     p.add_argument("--step", type=_bounded(float, 0, strict=True), default=1e-4,
                    help="finite-difference step for the qcheck suite")
-    p.add_argument("--tolerance", type=float, default=1e-6,
+    p.add_argument("--tolerance", type=_bounded(float, 0, strict=True), default=1e-6,
                    help="residual threshold for the qcheck suite")
     p.set_defaults(func=cmd_verify)
 

@@ -2,56 +2,30 @@
 
 After factoring out the ground-state wavefunction and changing variables to
 the four fundamental characters z1..z4, the Hamiltonian becomes a second
-order differential operator L with polynomial coefficients.  It is
-normalized here so that L P = eps(m) P on the eigenpolynomial with quantum
-numbers m, with eps the excitation energy above the ground state.
+order differential operator L with polynomial coefficients, typed once in
+the table ``_SECOND``/``_FIRST``.  It is normalized so that L P = eps(m) P on
+the eigenpolynomial with quantum numbers m, eps the excitation energy.
 
-Two routes to L are provided: generic term-by-term differentiation
-(:func:`apply`), and the closed-form action on a single monomial
-(:func:`apply_to_monomial`).  They must agree identically; tests enforce it.
+Two algorithms run over that table: generic differentiation (:func:`apply`),
+and the action on one monomial (:func:`apply_to_monomial`), whose eigenvalue
+and downward shift families are derived from the table at import.  Tests
+enforce that the two agree.  The table itself is checked independently, by
+the finite-difference operator on the torus (:mod:`csd4.qspace`) and against
+the quadratic form of the energy.
 """
 
 from __future__ import annotations
 
 from .kappa import KappaRational, kappa_linear
-from .rootsystem import check_dominant, root_to_weight
+from .rootsystem import check_dominant, height, root_to_weight, weight_to_root
 from .zpoly import ZPolynomial
-
-
-def eigenvalue(m) -> KappaRational:
-    """Excitation energy eps(m), an exact degree-1 polynomial in the coupling."""
-    m1, m2, m3, m4 = check_dominant(m)
-    quad = (
-        2 * (m1 * m1 + m3 * m3 + m4 * m4)
-        + 4 * m2 * m2
-        + 2 * (m1 * m3 + m1 * m4 + m3 * m4)
-        + 4 * m2 * (m1 + m3 + m4)
-    )
-    lin = 12 * (m1 + m3 + m4) + 20 * m2
-    return kappa_linear(quad, lin)
-
-
-def ground_energy() -> KappaRational:
-    """Total ground-state energy 28 k^2."""
-    return KappaRational((0, 0, 28))
-
-
-def total_energy(m) -> KappaRational:
-    """Total energy of level m: excitation plus ground-state energy."""
-    return eigenvalue(m) + ground_energy()
 
 
 # Coefficients of L, with second-order cross terms listed once for j < k.
 _SECOND = {
     (1, 1): ZPolynomial({(2, 0, 0, 0): 2, (0, 1, 0, 0): -4, (0, 0, 0, 0): -16}),
-    (2, 2): ZPolynomial({
-        (0, 2, 0, 0): 4,
-        (2, 0, 0, 0): -8,
-        (0, 0, 2, 0): -8,
-        (0, 0, 0, 2): -8,
-        (1, 0, 1, 1): -4,
-        (0, 1, 0, 0): 16,
-    }),
+    (2, 2): ZPolynomial({(0, 2, 0, 0): 4, (2, 0, 0, 0): -8, (0, 0, 2, 0): -8,
+                         (0, 0, 0, 2): -8, (1, 0, 1, 1): -4, (0, 1, 0, 0): 16}),
     (3, 3): ZPolynomial({(0, 0, 2, 0): 2, (0, 1, 0, 0): -4, (0, 0, 0, 0): -16}),
     (4, 4): ZPolynomial({(0, 0, 0, 2): 2, (0, 1, 0, 0): -4, (0, 0, 0, 0): -16}),
     (1, 2): ZPolynomial({(1, 1, 0, 0): 4, (0, 0, 1, 1): -12, (1, 0, 0, 0): -16}),
@@ -87,72 +61,71 @@ def apply(p: ZPolynomial) -> ZPolynomial:
     return out
 
 
-# Closed-form action on a monomial z^e: L z^e = eps(e) z^e minus a fixed
-# list of downward shifts.  Each family pairs the shift (in simple-root
-# coordinates) with the coefficient as a function of the exponents; the
-# coefficient vanishes exactly when the shifted exponent would go negative.
+def _coefficient(terms, sign: int):
+    """e -> sign * sum of (c0 + c1*k) * prod(e_i - o for (i, o) in factors)."""
+    if len(terms) == 1 and not terms[0][1] and len(terms[0][2]) == 2:
+        c, _, ((i, p), (j, q)) = terms[0]  # one constant second-order term
+        c *= sign
+        return lambda e: kappa_linear(c * (e[i] - p) * (e[j] - q), 0)
 
-def _c_aj(i):
     def f(e):
-        return KappaRational(4 * e[i] * (e[i] - 1))
+        const = slope = 0
+        for c0, c1, factors in terms:
+            x = sign
+            for i, o in factors:
+                x *= e[i] - o
+            const += c0 * x
+            slope += c1 * x
+        return kappa_linear(const, slope)
 
     return f
 
 
-def _c_b(j):
-    def f(e):
-        return KappaRational(12 * e[1] * e[j])
+def _derive() -> tuple:
+    """eps and the shift families of the monomial action, from the table.
 
-    return f
-
-
-def _c_c(i, j):
-    def f(e):
-        return KappaRational(16 * e[i] * e[j])
-
-    return f
-
-
-def _c_2a2(e):
-    return KappaRational(8 * e[1] * (e[1] - 1))
-
-
-def _c_d(e):
-    # depends on the coupling: 16 e2 (2 - e2 - k + e1 + e3 + e4)
-    n = 16 * e[1]
-    return kappa_linear(n * (2 - e[1] + e[0] + e[2] + e[3]), -n)
-
-
-def _c_4aj(i):
-    def f(e):
-        return KappaRational(16 * e[i] * (e[i] - 1))
-
-    return f
+    A term c*z^a of the coefficient of the derivative with orders n (n_i the
+    count of i in the key) sends z^e to c*(e)_n z^(e-s), s = n - a, where
+    (e)_n = prod_i e_i (e_i - 1)...(e_i - n_i + 1) is the product of e_i - o
+    over the pairs (i, o) in ``factors``.  Grouped by s, the s = 0 group is
+    eps(e), and each other group, negated, is one shift family: its shift in
+    simple-root coordinates (weight_to_root rejects one off the root lattice)
+    and its coefficient, by ascending height, then descending shift.
+    """
+    groups: dict = {}
+    for key, coeff in [*_SECOND.items(), *(((i,), c) for i, c in _FIRST.items())]:
+        n = [key.count(i) for i in range(1, 5)]
+        factors = tuple((i, o) for i in range(4) for o in range(n[i]))
+        for a, c in coeff.terms.items():
+            if c.den != (1,) or len(c.num) > 2:
+                raise ValueError(f"coefficient {c} of L is not an integer c0 + c1*k")
+            s = tuple(x - y for x, y in zip(n, a))
+            groups.setdefault(s, []).append((*(c.num + (0, 0))[:2], factors))
+    eps = _coefficient(groups.pop((0, 0, 0, 0)), 1)
+    families = sorted(
+        ((weight_to_root(s), _coefficient(terms, -1)) for s, terms in groups.items()),
+        key=lambda fam: (height(fam[0]), tuple(-x for x in fam[0])),
+    )
+    return eps, tuple(families)
 
 
-MONOMIAL_SHIFT_FAMILIES = (
-    ((1, 0, 0, 0), _c_aj(0)),
-    ((0, 1, 0, 0), _c_aj(1)),
-    ((0, 0, 1, 0), _c_aj(2)),
-    ((0, 0, 0, 1), _c_aj(3)),
-    ((1, 1, 0, 0), _c_b(0)),
-    ((0, 1, 1, 0), _c_b(2)),
-    ((0, 1, 0, 1), _c_b(3)),
-    ((1, 1, 1, 0), _c_c(0, 2)),
-    ((1, 1, 0, 1), _c_c(0, 3)),
-    ((0, 1, 1, 1), _c_c(2, 3)),
-    ((1, 2, 1, 0), _c_2a2),
-    ((1, 2, 0, 1), _c_2a2),
-    ((0, 2, 1, 1), _c_2a2),
-    ((1, 2, 1, 1), _c_d),
-    ((2, 2, 1, 1), _c_4aj(0)),
-    ((1, 2, 2, 1), _c_4aj(2)),
-    ((1, 2, 1, 2), _c_4aj(3)),
-)
+_EPS, MONOMIAL_SHIFT_FAMILIES = _derive()
+_SHIFT_WEIGHTS = tuple((root_to_weight(s), fn) for s, fn in MONOMIAL_SHIFT_FAMILIES)
 
-_SHIFT_WEIGHTS = tuple(
-    (root_to_weight(shift), fn) for shift, fn in MONOMIAL_SHIFT_FAMILIES
-)
+
+def eigenvalue(m) -> KappaRational:
+    """Excitation energy eps(m), an exact degree-1 polynomial in the coupling."""
+    return _EPS(check_dominant(m))
+
+
+def ground_energy() -> KappaRational:
+    """Total ground-state energy 28 k^2."""
+    return KappaRational((0, 0, 28))
+
+
+def total_energy(m) -> KappaRational:
+    """Total energy of level m: excitation plus ground-state energy."""
+    return eigenvalue(m) + ground_energy()
 
 
 def apply_to_monomial(e) -> ZPolynomial:
@@ -168,9 +141,8 @@ def apply_to_monomial(e) -> ZPolynomial:
             continue
         shifted = (e[0] - w[0], e[1] - w[1], e[2] - w[2], e[3] - w[3])
         if any(x < 0 for x in shifted):
-            raise ArithmeticError(
-                f"nonzero shift coefficient at invalid exponent {shifted}"
-            )
+            msg = f"nonzero shift coefficient at invalid exponent {shifted}"
+            raise ArithmeticError(msg)
         acc = out.get(shifted)
         acc = -coeff if acc is None else acc - coeff
         if acc:

@@ -552,5 +552,5 @@ _KR_ONE = _make(_ONE, 1, _NO_FACTORS)
 
 
 def kappa_linear(const: int, slope: int) -> KappaRational:
-    """The polynomial ``const + slope*k`` as a rational function."""
-    return KappaRational(poly_trim((const, slope)))
+    """The polynomial ``const + slope*k`` (integers) as a rational function."""
+    return _make(poly_trim((const, slope)), 1, _NO_FACTORS)

@@ -147,7 +147,9 @@ def hamiltonian_residual(m, kappa, q, h: float = 1e-4) -> ResidualResult:
 def scan_residuals(m, kappa, points, h: float):
     """:func:`hamiltonian_residual` at each point, the worst one, and the signs."""
     results = [hamiltonian_residual(m, kappa, q, h) for q in points]
-    worst = max([0.0] + [r.residual for r in results])
+    # A non-finite residual, NaN too, is the worst: it fails every tolerance.
+    worst = max((r.residual for r in results), default=0.0,
+                key=lambda x: x if math.isfinite(x) else math.inf)
     return results, worst, {r.sign for r in results}
 
 

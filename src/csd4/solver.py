@@ -18,7 +18,7 @@ from types import MappingProxyType
 
 from . import hamiltonian
 from .errors import InternalInconsistency, PoleAtKappa
-from .kappa import KappaRational, poly_from_str
+from .kappa import KappaRational
 from .rootsystem import check_dominant, height, root_to_weight, weight_to_root
 from .zpoly import ZPolynomial
 
@@ -89,21 +89,18 @@ class CSPolynomial:
     @classmethod
     def from_fixture_obj(cls, obj) -> "CSPolynomial":
         m = tuple(obj["m"])
-        eps = KappaRational(
-            poly_from_str(obj["epsilon"]["num"]), poly_from_str(obj["epsilon"]["den"])
-        )
+        eps = KappaRational.parse(obj["epsilon"]["num"], obj["epsilon"]["den"])
         coefficients = {}
-        poly = ZPolynomial.zero()
+        terms = {}
         for item in obj["coeffs"]:
             mu = tuple(item["mu"])
-            c = KappaRational(poly_from_str(item["num"]), poly_from_str(item["den"]))
+            c = KappaRational.parse(item["num"], item["den"])
             if not c:
                 continue
             coefficients[mu] = c
             w = root_to_weight(mu)
-            exp = tuple(m[i] - w[i] for i in range(4))
-            poly = poly + ZPolynomial.monomial(exp, c)
-        return cls(m, eps, coefficients, poly)
+            terms[tuple(m[i] - w[i] for i in range(4))] = c
+        return cls(m, eps, coefficients, ZPolynomial(terms, _raw=True))
 
 
 _CACHE: dict = {}

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import PoleAtKappa
-from .kappa import KappaRational, poly_from_str
+from .kappa import KappaRational
 
 Exponents = tuple  # tuple[int, int, int, int]
 
@@ -263,9 +263,7 @@ class ZPolynomial:
     def from_json_obj(cls, obj) -> "ZPolynomial":
         terms = {}
         for item in obj:
-            coeff = KappaRational(
-                poly_from_str(item["num"]), poly_from_str(item.get("den", "1"))
-            )
+            coeff = KappaRational.parse(item["num"], item.get("den", "1"))
             if coeff:
                 terms[tuple(item["exponents"])] = coeff
         return cls(terms, _raw=True)

@@ -155,10 +155,23 @@ def test_verify_all_record_set(capsys):
     ["qcheck", "--m", "1,0,0,0", "--kappa", "1/0"],
     ["qcheck", "--m", "1,0,0,0", "--kappa", "symbolic"],
     ["qcheck", "--m", "1,0,0,0", "--samples", "0"],
+    ["qcheck", "--m", "1,0,0,0", "--tolerance", "-1"],
+    ["qcheck", "--m", "1,0,0,0", "--tolerance", "0"],
+    ["qcheck", "--m", "1,0,0,0", "--tolerance", "nan"],
+    ["qcheck", "--m", "1,0,0,0", "--tolerance", "inf"],
+    ["verify", "--suite", "qcheck", "--tolerance", "-1"],
+    ["verify", "--suite", "qcheck", "--tolerance", "nan"],
+    ["verify", "--suite", "qcheck", "--tolerance", "inf"],
+    ["qcheck", "--m", "1,0,0,0", "--step", "inf", "--samples", "1"],
+    ["verify", "--suite", "qcheck", "--step", "inf"],
+    ["qcheck", "--m", "1,0,0,0", "--kappa", "1e400"],
 ], ids=[
     "compute-short-m", "genfun-order", "verify-max-m", "verify-order",
     "verify-step", "qcheck-step", "qcheck-kappa-pole", "qcheck-kappa-symbolic",
-    "qcheck-samples",
+    "qcheck-samples", "qcheck-tolerance-negative", "qcheck-tolerance-zero",
+    "qcheck-tolerance-nan", "qcheck-tolerance-inf", "verify-tolerance-negative",
+    "verify-tolerance-nan", "verify-tolerance-inf", "qcheck-step-inf",
+    "verify-step-inf", "qcheck-kappa-overflow",
 ])
 def test_usage_error_exit_code(argv, capsys):
     with pytest.raises(SystemExit) as err:

@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -83,6 +84,41 @@ def test_triality_equivariance(p):
         assert ham.apply(p.permute_variables(sigma)) == ham.apply(p).permute_variables(
             sigma
         )
+
+
+def test_shift_families_derived_in_order():
+    # Ascending height, then descending shift; only (1,2,1,1) depends on k.
+    assert [shift for shift, _ in ham.MONOMIAL_SHIFT_FAMILIES] == [
+        (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
+        (1, 1, 0, 0), (0, 1, 1, 0), (0, 1, 0, 1),
+        (1, 1, 1, 0), (1, 1, 0, 1), (0, 1, 1, 1),
+        (1, 2, 1, 0), (1, 2, 0, 1), (0, 2, 1, 1),
+        (1, 2, 1, 1),
+        (2, 2, 1, 1), (1, 2, 2, 1), (1, 2, 1, 2),
+    ]
+    e = (2, 3, 1, 4)
+    assert [len(fn(e).num) for _, fn in ham.MONOMIAL_SHIFT_FAMILIES].count(2) == 1
+    assert dict(ham.MONOMIAL_SHIFT_FAMILIES)[(1, 2, 1, 1)](e) == kappa_linear(
+        16 * 3 * (2 - 3 + 2 + 1 + 4), -16 * 3
+    )
+
+
+@pytest.mark.parametrize("coeff, exps", [
+    (KappaRational((0, 0, 1)), (1, 0, 0, 0)),  # quadratic in the coupling
+    (KappaRational(1, 2), (1, 0, 0, 0)),  # not an integer
+    (KappaRational(1), (0, 0, 0, 0)),  # shift omega_1, off the root lattice
+], ids=["quadratic", "fraction", "off-lattice"])
+def test_derivation_rejects_unrepresentable_entry(monkeypatch, coeff, exps):
+    monkeypatch.setitem(ham._FIRST, 1, ZPolynomial.monomial(exps, coeff))
+    with pytest.raises(ValueError):
+        ham._derive()
+
+
+def test_monomial_route_rejects_invalid_exponent(monkeypatch):
+    always = (rs.root_to_weight((1, 0, 0, 0)), lambda e: KappaRational(1))
+    monkeypatch.setattr(ham, "_SHIFT_WEIGHTS", (always,))
+    with pytest.raises(ArithmeticError):
+        ham.apply_to_monomial((0, 0, 0, 0))
 
 
 def test_monomial_shifts_stay_in_root_cone():

@@ -1,5 +1,6 @@
 """Numeric validation on the torus: characters, residuals, factorization."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -66,6 +67,16 @@ def test_residual_sign_consistency():
 def test_near_singularity_rejected():
     with pytest.raises(NearSingularity):
         qspace.hamiltonian_residual((1, 0, 0, 0), Fraction(1), (0.5, 0.5, 1.1, 1.9))
+
+
+def test_non_finite_residual_fails_every_tolerance():
+    # An infinite step makes the residual NaN, which must not read as a pass.
+    results, worst, _ = qspace.scan_residuals(
+        (1, 0, 0, 0), Fraction(1), generic_points(0, 1), float("inf")
+    )
+    assert not math.isfinite(results[0].residual)
+    for tolerance in (1e-6, 1.0, 1e300, float("inf")):
+        assert not worst < tolerance
 
 
 def test_special_identity_even_case():
