@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -33,6 +34,11 @@ def _parse_m(text: str):
             f"quantum numbers must be four nonnegative integers, got {text!r}"
         )
     return parts
+
+
+# argparse reads an argument starting with "-" as an option unless it looks
+# like -1 or -0.5; a coupling may also be written -p/q.
+_NEGATIVE_NUMBER = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
 
 
 def _parse_coupling(text: str) -> Fraction:
@@ -64,6 +70,10 @@ def _bounded(convert, low=None, strict=False):
 
     parse.__name__ = convert.__name__  # argparse names it in "invalid int value"
     return parse
+
+
+# A smaller step cannot move a torus angle of order 1.
+_STEP = _bounded(float, sys.float_info.epsilon, strict=True)
 
 
 def _emit(obj, as_json: bool, text_fallback=None):
@@ -188,6 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="quantum numbers, e.g. 2,0,0,0")
     p.add_argument("--kappa", type=_parse_kappa, default=None,
                    help='"symbolic" (default) or a rational like 1 or 7/10')
+    p._negative_number_matcher = _NEGATIVE_NUMBER
     add_common(p)
     p.set_defaults(func=cmd_compute)
 
@@ -218,9 +229,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="quantum numbers of the eigenfunction")
     p.add_argument("--kappa", type=_bounded(_parse_coupling), default=Fraction(1),
                    help="rational coupling value (default 1)")
+    p._negative_number_matcher = _NEGATIVE_NUMBER
     p.add_argument("--samples", type=_bounded(int, 1), default=5,
                    help="number of generic torus points (default 5)")
-    p.add_argument("--step", type=_bounded(float, 0, strict=True), default=1e-4,
+    p.add_argument("--step", type=_STEP, default=1e-4,
                    help="finite-difference step (default 1e-4)")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for the point sampler (default 0)")
@@ -237,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="series truncation order for the genfun suite")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for sampled points and random weights")
-    p.add_argument("--step", type=_bounded(float, 0, strict=True), default=1e-4,
+    p.add_argument("--step", type=_STEP, default=1e-4,
                    help="finite-difference step for the qcheck suite")
     p.add_argument("--tolerance", type=_bounded(float, 0, strict=True), default=1e-6,
                    help="residual threshold for the qcheck suite")

@@ -8,10 +8,10 @@ the eigenpolynomial with quantum numbers m, eps the excitation energy.
 
 Two algorithms run over that table: generic differentiation (:func:`apply`),
 and the action on one monomial (:func:`apply_to_monomial`), whose eigenvalue
-and downward shift families are derived from the table at import.  Tests
-enforce that the two agree.  The table itself is checked independently, by
-the finite-difference operator on the torus (:mod:`csd4.qspace`) and against
-the quadratic form of the energy.
+and downward shift families are derived from the table at import.  The
+second is the solver's one evaluator of L; tests check it against the first.
+The table itself is checked independently, by the finite-difference operator
+on the torus (:mod:`csd4.qspace`) and against the energy's quadratic form.
 """
 
 from __future__ import annotations
@@ -129,7 +129,8 @@ def total_energy(m) -> KappaRational:
 
 
 def apply_to_monomial(e) -> ZPolynomial:
-    """L z^e from the closed form; must agree with :func:`apply`."""
+    """L z^e from the derived families, as :func:`csd4.solver.solve` pushes
+    each term through it; tests check it against :func:`apply`."""
     e = tuple(e)
     out = {}
     eps = eigenvalue(e)

@@ -403,19 +403,6 @@ class KappaRational:
             return NotImplemented
         return other * self.inverse()
 
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = _KR_ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
-
     # -- evaluation ----------------------------------------------------
 
     def substitute(self, kappa0) -> Fraction:
@@ -548,9 +535,9 @@ def _reduce(num: IntPoly, content: int, factors: dict, test=None) -> KappaRation
 
 
 _KR_ZERO = _make(_ZERO, 1, _NO_FACTORS)
-_KR_ONE = _make(_ONE, 1, _NO_FACTORS)
 
 
 def kappa_linear(const: int, slope: int) -> KappaRational:
     """The polynomial ``const + slope*k`` (integers) as a rational function."""
-    return _make(poly_trim((const, slope)), 1, _NO_FACTORS)
+    num = (const, slope) if slope else (const,) if const else _ZERO
+    return _make(num, 1, _NO_FACTORS) if num else _KR_ZERO

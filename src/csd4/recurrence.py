@@ -426,12 +426,7 @@ def ladder_next(m: int) -> CSPolynomial:
     comm = hamiltonian.commutator(1, p_m)
     c1 = KappaRational(1) / (KappaRational(4) * kappa_linear(m, 1))
     c2 = kappa_linear(1, 4) / (KappaRational(2) * kappa_linear(m, 1))
-    c3 = _ratio(
-        [kappa_linear(m, 0), kappa_linear(m, 2),
-         kappa_linear(m - 1, 4), kappa_linear(m - 1, 6)],
-        [kappa_linear(m - 1, 1), kappa_linear(m - 1, 3),
-         kappa_linear(m, 1), kappa_linear(m, 3)],
-    )
+    c3 = _cf_a(m) * kappa_linear(m, 5) / kappa_linear(m, 1)
     poly = (
         comm * c1
         - (ZPolynomial.variable(1) * p_m) * c2

@@ -2,12 +2,14 @@
 
 Every eigenpolynomial is z^m plus corrections on monomials z^(m - mu),
 where mu runs over the lattice cone of nonnegative simple-root
-combinations that keep the exponent componentwise nonnegative.  The
-coefficients follow from a triangular recursion in increasing height of
-mu: each one equals the accumulated action of the monomial shift families
-on already-known coefficients, divided by an eigenvalue difference that is
-a nonzero polynomial in the coupling (so the symbolic solve never divides
-by zero; numeric resonances only appear on specialization).
+combinations that keep the exponent componentwise nonnegative.  L acts
+triangularly, L z^e = eps(e) z^e plus terms lower in the cone (Heckman &
+Opdam), so one pass over the cone in increasing height of mu solves it:
+each known term is pushed through :func:`csd4.hamiltonian.apply_to_monomial`
+and its off-diagonal image summed into the terms still to come.  A later
+coefficient is that sum over an eigenvalue difference, a nonzero
+polynomial in the coupling (so the symbolic solve never divides by zero;
+numeric resonances only appear on specialization).
 """
 
 from __future__ import annotations
@@ -109,10 +111,14 @@ _CACHE: dict = {}
 def solve(m) -> CSPolynomial:
     """Compute the eigenpolynomial for dominant quantum numbers m.
 
-    Coefficients are filled in increasing height of the shift; every term
-    feeding a coefficient lives at strictly lower height (enforced below),
-    so coefficients within one height level are mutually independent and
-    could be computed in any order.
+    The cone is visited in its (height, mu) order.  Once the coefficient c
+    of z^e is known, c*a is added into ``pending[f]`` for every off-diagonal
+    term a*z^f of L z^e.  The coefficient of a later z^e is
+    ``pending[e] / (eps(m) - eps(e))``, eps(e) read off the diagonal of the
+    same L z^e; a missing or zero sum is a zero coefficient.  Every term
+    must land on an exponent visited later: anything left in ``pending``
+    was reached out of order or outside the cone, and raises
+    :class:`InternalInconsistency`.
     """
     m = check_dominant(m)
     hit = _CACHE.get(m)
@@ -121,48 +127,32 @@ def solve(m) -> CSPolynomial:
     cone = support_cone(m)
     eps_m = hamiltonian.eigenvalue(m)
 
-    by_mu = {el.mu: el for el in cone.elements}
+    pending: dict = {}  # exponent -> sum of the terms pushed onto it so far
     coeffs: dict = {}
     terms: dict = {}
     for el in cone.elements:
-        if el.height == 0:
-            coeffs[el.mu] = KappaRational(1)
-            terms[el.exponent] = coeffs[el.mu]
-            continue
-        acc = KappaRational(0)
-        for shift, fn in hamiltonian.MONOMIAL_SHIFT_FAMILIES:
-            nu = (
-                el.mu[0] - shift[0],
-                el.mu[1] - shift[1],
-                el.mu[2] - shift[2],
-                el.mu[3] - shift[3],
-            )
-            if nu[0] < 0 or nu[1] < 0 or nu[2] < 0 or nu[3] < 0:
-                continue
-            src = by_mu.get(nu)
-            if src is None:
-                continue
-            if src.height >= el.height:
+        e = el.exponent
+        c = pending.pop(e, None) if el.height else KappaRational(1)
+        if not c:
+            continue  # the coefficient vanishes identically
+        image = hamiltonian.apply_to_monomial(e).terms
+        if el.height:
+            denom = eps_m - image.get(e, 0)
+            if not denom:
                 raise InternalInconsistency(
-                    f"shift from {nu} to {el.mu} does not lower the height"
+                    f"vanishing symbolic eigenvalue difference at mu={el.mu}"
                 )
-            c_nu = coeffs.get(nu)
-            if c_nu is None:
-                continue  # the source coefficient vanished identically
-            factor = fn(src.exponent)
-            if factor:
-                acc = acc + factor * c_nu
-        if not acc:
-            continue
-        denom = hamiltonian.eigenvalue(el.exponent) - eps_m
-        if not denom:
-            raise InternalInconsistency(
-                f"vanishing symbolic eigenvalue difference at mu={el.mu}"
-            )
-        c = acc / denom
-        c.den  # expand the factored denominator here, not at a caller's first use
-        coeffs[el.mu] = c
-        terms[el.exponent] = c
+            c = c / denom
+            c.den  # expand the factored denominator here, not at a caller's first use
+        coeffs[el.mu] = terms[e] = c
+        for f, a in image.items():
+            if f != e:
+                prev = pending.get(f)
+                pending[f] = c * a if prev is None else prev + c * a
+    if pending:
+        raise InternalInconsistency(
+            f"L reaches z^{min(pending)} out of the height order of the cone of {m}"
+        )
     # Every caller shares the cached result, so its tables are read-only.
     poly = ZPolynomial(MappingProxyType(terms), _raw=True)
     result = CSPolynomial(m, eps_m, MappingProxyType(coeffs), poly)

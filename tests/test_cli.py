@@ -165,13 +165,18 @@ def test_verify_all_record_set(capsys):
     ["qcheck", "--m", "1,0,0,0", "--step", "inf", "--samples", "1"],
     ["verify", "--suite", "qcheck", "--step", "inf"],
     ["qcheck", "--m", "1,0,0,0", "--kappa", "1e400"],
+    # a step at or below machine epsilon cannot move a torus angle of order 1
+    ["qcheck", "--m", "1,0,0,0", "--step", "1e-200", "--samples", "1"],
+    ["verify", "--suite", "qcheck", "--step", "1e-200"],
+    ["qcheck", "--m", "1,0,0,0", "--step", "1e-17"],
 ], ids=[
     "compute-short-m", "genfun-order", "verify-max-m", "verify-order",
     "verify-step", "qcheck-step", "qcheck-kappa-pole", "qcheck-kappa-symbolic",
     "qcheck-samples", "qcheck-tolerance-negative", "qcheck-tolerance-zero",
     "qcheck-tolerance-nan", "qcheck-tolerance-inf", "verify-tolerance-negative",
     "verify-tolerance-nan", "verify-tolerance-inf", "qcheck-step-inf",
-    "verify-step-inf", "qcheck-kappa-overflow",
+    "verify-step-inf", "qcheck-kappa-overflow", "qcheck-step-underflow",
+    "verify-step-underflow", "qcheck-step-below-epsilon",
 ])
 def test_usage_error_exit_code(argv, capsys):
     with pytest.raises(SystemExit) as err:
@@ -183,7 +188,22 @@ def test_usage_error_exit_code(argv, capsys):
 def test_pole_exit_code(capsys):
     code = main(["compute", "--m", "2,0,0,0", "--kappa=-1/3"])
     assert code == 3
-    assert "pole" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "pole" in err
+    # the same coupling written with a space is a value, not an option
+    assert main(["compute", "--m", "2,0,0,0", "--kappa", "-1/3"]) == 3
+    assert capsys.readouterr().err == err
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "--m", "1,0,0,0", "--kappa", "-1/2"],
+    ["qcheck", "--m", "1,0,0,0", "--kappa", "-7/10", "--samples", "1"],
+], ids=["compute", "qcheck"])
+def test_negative_coupling_with_space(argv, capsys):
+    i = argv.index("--kappa")
+    joined = [*argv[:i], f"--kappa={argv[i + 1]}", *argv[i + 2:]]
+    assert run(capsys, *argv) == run(capsys, *joined)
+    assert run(capsys, *argv)[0] == 0
 
 
 def test_console_script_entry_point():

@@ -1,7 +1,10 @@
 """Support cones, the coefficient recursion, specialization, verification."""
 
+import hashlib
 import itertools
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -9,7 +12,7 @@ from csd4 import hamiltonian as ham
 from csd4 import kappa
 from csd4 import rootsystem as rs
 from csd4 import solver
-from csd4.errors import PoleAtKappa
+from csd4.errors import InternalInconsistency, PoleAtKappa
 from csd4.kappa import KappaRational
 from csd4.zpoly import Z1, Z2, Z3, Z4, ZPolynomial
 
@@ -192,3 +195,42 @@ def test_even_special_coupling_family_exact():
     fourth = solver.specialize(solver.solve((4, 4, 4, 4)), Fraction(-3, 2))
     assert fourth == square
     assert len(fourth) == 793
+
+
+LADDER_DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "ladder_digests.json"
+
+
+@pytest.mark.parametrize("m", [
+    (8, 0, 0, 0), (12, 0, 0, 0), (0, 6, 0, 0), (2, 2, 2, 2), (3, 3, 3, 3),
+])
+def test_solve_matches_ladder_digest(m):
+    # The benchmark's recorded digests pin the exact output past the golden
+    # corpus; (4,4,4,4) is left to the benchmark for time.
+    with open(LADDER_DIGESTS) as fh:
+        want = json.load(fh)[json.dumps(list(m))]
+    solver.clear_cache()
+    try:
+        obj = solver.solve(m).to_fixture_obj()
+    finally:
+        solver.clear_cache()
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == want
+
+
+@pytest.mark.parametrize("extra", [(2, 0, 0, 0), (0, 0, 0, 5)],
+                         ids=["back-at-leading", "outside-cone"])
+def test_solve_rejects_a_term_out_of_order(monkeypatch, extra):
+    # A term that L sends back to an exponent already solved, or outside the
+    # cone, is left over after the pass and must not be silently dropped.
+    real = ham.apply_to_monomial
+
+    def tampered(e):
+        return real(e) + ZPolynomial.monomial(extra, 1)
+
+    monkeypatch.setattr(ham, "apply_to_monomial", tampered)
+    solver.clear_cache()
+    try:
+        with pytest.raises(InternalInconsistency):
+            solver.solve((2, 0, 0, 0))
+    finally:
+        solver.clear_cache()
