@@ -261,6 +261,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
+    step, tolerance = getattr(args, "step", 1), getattr(args, "tolerance", 1)
+    if step * step * tolerance <= sys.float_info.epsilon:
+        ap.error(f"--step {step} is too small for --tolerance {tolerance}: the "
+                 "rounding error eps/step^2 of the second difference exceeds it")
     try:
         return args.func(args)
     except PoleAtKappa as exc:

@@ -9,13 +9,15 @@ Every denominator the solver meets is a product of eigenvalue differences
 ``eps(e) - eps(m)``, which are linear in the coupling.  So a denominator is
 stored factored: a positive integer content times primitive factors
 ``a + b*k`` (``b > 0``), each with a multiplicity.  A sum takes the lcm of
-the two factor multisets; a product or a sum is brought to lowest terms by
-testing each factor against the numerator with one exact synthetic
-division, and the content with one integer gcd.  The general gcd
-:func:`poly_gcd` runs only on a denominator of degree >= 2 that arrives with
-no known factorization: from a string, from the constructor, or from the
-inverse of a non-linear numerator.  Such a polynomial is kept as one more
-factor and cancelled by the same code.
+the factor multisets and multiplies each numerator up to it, one pass per
+linear factor.  Binary ``+`` sums two terms; :func:`kappa_sum` sums the n
+terms of a solver coefficient with one lcm and one reduction.  A sum or a
+product is brought to lowest terms by testing each factor against the
+numerator with one exact synthetic division, and the content with one
+integer gcd.  The general gcd :func:`poly_gcd` runs only on a denominator
+of degree >= 2 that arrives with no known factorization: from a string,
+from the constructor, or from the inverse of a non-linear numerator.  Such
+a polynomial is kept as one more factor and cancelled by the same code.
 
 Polynomials are stored as tuples of integer coefficients, lowest degree
 first, with no trailing zeros; the empty tuple is the zero polynomial.
@@ -65,6 +67,10 @@ def poly_mul(a: IntPoly, b: IntPoly) -> IntPoly:
         return _ZERO
     if len(a) > len(b):
         a, b = b, a  # the shorter factor drives the outer loop
+    if len(a) == 2 and a[1] and b[-1]:
+        # A linear factor x + y*k, the common case, in one pass.
+        x, y = a
+        return (x * b[0], *[x * c + y * p for p, c in zip(b, b[1:])], y * b[-1])
     out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca:
@@ -151,10 +157,8 @@ def _pseudo_rem(a: IntPoly, b: IntPoly) -> IntPoly:
 
 def poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
     """gcd in Z[k] (content included), positive leading coefficient."""
-    if not a:
-        return _abs_poly(b)
-    if not b:
-        return _abs_poly(a)
+    if not a or not b:
+        return _abs_poly(a or b)
     c = math.gcd(poly_content(a), poly_content(b))
     if len(a) == 1 or len(b) == 1:
         return (c,)
@@ -535,6 +539,41 @@ def _reduce(num: IntPoly, content: int, factors: dict, test=None) -> KappaRation
 
 
 _KR_ZERO = _make(_ZERO, 1, _NO_FACTORS)
+
+
+def kappa_sum(terms) -> KappaRational:
+    """The sum of the ``KappaRational`` terms, with one reduction.
+
+    The n-term form of the scheme of ``KappaRational.__add__``: one lcm of
+    the contents and factor multisets, each numerator rescaled to it once,
+    one cancellation.  When every factor is linear, only one that two or
+    more terms carry at its top multiplicity can divide the sum: it divides
+    every other rescaled numerator, and a lone top term's is coprime to it.
+    """
+    terms = [t for t in terms if t.num]
+    if len(terms) < 2:
+        return terms[0] if terms else _KR_ZERO
+    content = math.lcm(*(t._content for t in terms))
+    top: dict = {}  # factor -> [top multiplicity, terms carrying it there]
+    for t in terms:
+        for f, e in t._factors.items():
+            seen = top.get(f)
+            if seen is None or e > seen[0]:
+                top[f] = [e, 1]
+            elif e == seen[0]:
+                seen[1] += 1
+    total = []
+    for t in terms:
+        num = poly_scale(t.num, content // t._content)
+        for f, (e, _) in top.items():
+            num = _mul_factor(num, f, e - t._factors.get(f, 0))
+        total.extend([0] * (len(num) - len(total)))
+        for i, c in enumerate(num):
+            total[i] += c
+    factors = {f: e for f, (e, _) in top.items()} or _NO_FACTORS
+    linear = all(len(f) == 2 for f in top)
+    test = [f for f, (_, n) in top.items() if n > 1] if linear else None
+    return _reduce(poly_trim(total), content, factors, test)
 
 
 def kappa_linear(const: int, slope: int) -> KappaRational:

@@ -20,7 +20,7 @@ from types import MappingProxyType
 
 from . import hamiltonian
 from .errors import InternalInconsistency, PoleAtKappa
-from .kappa import KappaRational
+from .kappa import KappaRational, kappa_sum
 from .rootsystem import check_dominant, height, root_to_weight, weight_to_root
 from .zpoly import ZPolynomial
 
@@ -112,27 +112,26 @@ def solve(m) -> CSPolynomial:
     """Compute the eigenpolynomial for dominant quantum numbers m.
 
     The cone is visited in its (height, mu) order.  Once the coefficient c
-    of z^e is known, c*a is added into ``pending[f]`` for every off-diagonal
-    term a*z^f of L z^e.  The coefficient of a later z^e is
-    ``pending[e] / (eps(m) - eps(e))``, eps(e) read off the diagonal of the
-    same L z^e; a missing or zero sum is a zero coefficient.  Every term
-    must land on an exponent visited later: anything left in ``pending``
-    was reached out of order or outside the cone, and raises
-    :class:`InternalInconsistency`.
+    of z^e is known, the term c*a is appended to ``pending[f]`` for every
+    off-diagonal term a*z^f of L z^e.  The terms of a later z^e are summed
+    once, by :func:`csd4.kappa.kappa_sum`, and divided by eps(m) - eps(e),
+    eps(e) read off the diagonal of the same L z^e; a zero sum is a zero
+    coefficient.  Every term must land on an exponent visited later:
+    anything left in ``pending`` was reached out of order or outside the
+    cone, and raises :class:`InternalInconsistency`.
     """
     m = check_dominant(m)
-    hit = _CACHE.get(m)
-    if hit is not None:
-        return hit
+    if m in _CACHE:
+        return _CACHE[m]
     cone = support_cone(m)
     eps_m = hamiltonian.eigenvalue(m)
 
-    pending: dict = {}  # exponent -> sum of the terms pushed onto it so far
+    pending: dict = {}  # exponent -> the terms pushed onto it, summed at pop
     coeffs: dict = {}
     terms: dict = {}
     for el in cone.elements:
         e = el.exponent
-        c = pending.pop(e, None) if el.height else KappaRational(1)
+        c = kappa_sum(pending.pop(e, ())) if el.height else KappaRational(1)
         if not c:
             continue  # the coefficient vanishes identically
         image = hamiltonian.apply_to_monomial(e).terms
@@ -147,8 +146,7 @@ def solve(m) -> CSPolynomial:
         coeffs[el.mu] = terms[e] = c
         for f, a in image.items():
             if f != e:
-                prev = pending.get(f)
-                pending[f] = c * a if prev is None else prev + c * a
+                pending.setdefault(f, []).append(c * a)
     if pending:
         raise InternalInconsistency(
             f"L reaches z^{min(pending)} out of the height order of the cone of {m}"

@@ -169,6 +169,11 @@ def test_verify_all_record_set(capsys):
     ["qcheck", "--m", "1,0,0,0", "--step", "1e-200", "--samples", "1"],
     ["verify", "--suite", "qcheck", "--step", "1e-200"],
     ["qcheck", "--m", "1,0,0,0", "--step", "1e-17"],
+    # the second difference's rounding error eps/step^2 must stay below the
+    # tolerance
+    ["qcheck", "--m", "1,0,0,0", "--step", "1e-15", "--samples", "1"],
+    ["verify", "--suite", "qcheck", "--step", "1e-15"],
+    ["qcheck", "--m", "1,0,0,0", "--step", "1e-6", "--tolerance", "1e-6"],
 ], ids=[
     "compute-short-m", "genfun-order", "verify-max-m", "verify-order",
     "verify-step", "qcheck-step", "qcheck-kappa-pole", "qcheck-kappa-symbolic",
@@ -177,6 +182,7 @@ def test_verify_all_record_set(capsys):
     "verify-tolerance-nan", "verify-tolerance-inf", "qcheck-step-inf",
     "verify-step-inf", "qcheck-kappa-overflow", "qcheck-step-underflow",
     "verify-step-underflow", "qcheck-step-below-epsilon",
+    "qcheck-step-rounding", "verify-step-rounding", "qcheck-step-for-tolerance",
 ])
 def test_usage_error_exit_code(argv, capsys):
     with pytest.raises(SystemExit) as err:

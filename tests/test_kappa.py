@@ -11,6 +11,7 @@ from csd4.errors import PoleAtKappa
 from csd4.kappa import (
     KappaRational,
     kappa_linear,
+    kappa_sum,
     poly_add,
     poly_div_exact,
     poly_eval,
@@ -246,3 +247,23 @@ def test_factored_arithmetic_matches_gcd_reference(data):
             else:
                 value = poly_eval(num, root) / poly_eval(den, root)
                 assert got.substitute(root) == value
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_kappa_sum_matches_gcd_reference(data):
+    pool = data.draw(
+        st.lists(st.sampled_from(LINEAR), min_size=3, max_size=3, unique=True)
+    )
+    drawn = data.draw(st.lists(factored_operands(pool), min_size=0, max_size=5))
+    terms = [x for x, _, _ in drawn]
+    raw_num, raw_den = (), (1,)
+    for _, num, den in drawn:
+        raw_num = poly_add(poly_mul(raw_num, den), poly_mul(num, raw_den))
+        raw_den = poly_mul(raw_den, den)
+    total = kappa_sum(terms)
+    assert (total.num, total.den) == gcd_reference(raw_num, raw_den)
+    # A term cancelling a prefix leaves factors that several terms carry at
+    # their top multiplicity, which the restricted test must still cancel.
+    j = data.draw(st.integers(0, len(terms)))
+    assert kappa_sum([*terms, -kappa_sum(terms[:j])]) == kappa_sum(terms[j:])

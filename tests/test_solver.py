@@ -202,10 +202,11 @@ LADDER_DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "ladder_dig
 
 @pytest.mark.parametrize("m", [
     (8, 0, 0, 0), (12, 0, 0, 0), (0, 6, 0, 0), (2, 2, 2, 2), (3, 3, 3, 3),
+    (4, 4, 4, 4),
 ])
 def test_solve_matches_ladder_digest(m):
     # The benchmark's recorded digests pin the exact output past the golden
-    # corpus; (4,4,4,4) is left to the benchmark for time.
+    # corpus.
     with open(LADDER_DIGESTS) as fh:
         want = json.load(fh)[json.dumps(list(m))]
     solver.clear_cache()
