@@ -9,9 +9,11 @@ Every denominator the solver meets is a product of eigenvalue differences
 ``eps(e) - eps(m)``, which are linear in the coupling.  So a denominator is
 stored factored: a positive integer content times primitive factors
 ``a + b*k`` (``b > 0``), each with a multiplicity.  A sum takes the lcm of
-the factor multisets and multiplies each numerator up to it, one pass per
-linear factor.  Binary ``+`` sums two terms; :func:`kappa_sum` sums the n
-terms of a solver coefficient with one lcm and one reduction.  A sum or a
+the factor multisets and multiplies each numerator up to it.  Binary ``+``
+sums two terms, one pass per linear factor.  :func:`kappa_sum` is the
+solver's dot product sum(c * a) of n coefficients c with integer
+polynomials a, with one lcm and one reduction; it multiplies by packing
+each polynomial into one integer (Kronecker substitution).  A sum or a
 product is brought to lowest terms by testing each factor against the
 numerator with one exact synthetic division, and the content with one
 integer gcd.  The general gcd :func:`poly_gcd` runs only on a denominator
@@ -541,39 +543,96 @@ def _reduce(num: IntPoly, content: int, factors: dict, test=None) -> KappaRation
 _KR_ZERO = _make(_ZERO, 1, _NO_FACTORS)
 
 
+def _pack(p: IntPoly, bits: int) -> int:
+    """p(2**bits), by Horner: the coefficients as digits of one integer."""
+    x = 0
+    for c in reversed(p):
+        x = (x << bits) + c
+    return x
+
+
+def _unpack(x: int, bits: int) -> IntPoly:
+    """The polynomial p with p(2**bits) == x and |coefficients| < 2**(bits-1)."""
+    mask, half = (1 << bits) - 1, 1 << (bits - 1)
+    out = []
+    while x:
+        d = ((x + half) & mask) - half  # the balanced remainder
+        out.append(d)
+        x = (x - d) >> bits
+    return tuple(out)
+
+
 def kappa_sum(terms) -> KappaRational:
-    """The sum of the ``KappaRational`` terms, with one reduction.
+    """The dot product sum(c * a) over pairs of a ``KappaRational`` c and an
+    integer polynomial a, with one reduction.
 
     The n-term form of the scheme of ``KappaRational.__add__``: one lcm of
-    the contents and factor multisets, each numerator rescaled to it once,
-    one cancellation.  When every factor is linear, only one that two or
-    more terms carry at its top multiplicity can divide the sum: it divides
-    every other rescaled numerator, and a lone top term's is coprime to it.
+    the contents and factor multisets, and each c.num * a multiplied up to
+    it once.  Those products run as integer products (Kronecker
+    substitution): every polynomial is packed as its value at 2**bits, with
+    bits above the bit length of the largest coefficient the sum can have,
+    so the packed sum unpacks to the sum's numerator.  When every factor and
+    every a is at most linear, only a factor that two or more terms carry at
+    its top multiplicity, or the primitive part of some a, can divide the
+    sum: it divides every other term, and a lone top term's c.num is coprime
+    to it.  Otherwise every factor is tested.
     """
-    terms = [t for t in terms if t.num]
-    if len(terms) < 2:
-        return terms[0] if terms else _KR_ZERO
-    content = math.lcm(*(t._content for t in terms))
+    terms = [(c, a) for c, a in terms if c.num and a]
+    if not terms:
+        return _KR_ZERO
+    content = math.lcm(*(c._content for c, _ in terms))
     top: dict = {}  # factor -> [top multiplicity, terms carrying it there]
-    for t in terms:
-        for f, e in t._factors.items():
+    for c, _ in terms:
+        for f, e in c._factors.items():
             seen = top.get(f)
             if seen is None or e > seen[0]:
                 top[f] = [e, 1]
             elif e == seen[0]:
                 seen[1] += 1
-    total = []
-    for t in terms:
-        num = poly_scale(t.num, content // t._content)
-        for f, (e, _) in top.items():
-            num = _mul_factor(num, f, e - t._factors.get(f, 0))
-        total.extend([0] * (len(num) - len(total)))
-        for i, c in enumerate(num):
-            total[i] += c
+    fbits = {f: sum(map(abs, f)).bit_length() for f in top}  # of |f|_1
+    # The terms grouped by the factor dict of c (solve shares one dict per
+    # distinct denominator), each group with what its c lacks of the lcm.
+    groups: dict = {}  # id(c._factors) -> [missing, its bits, [(num, s, a)]]
+    width = 0
+    for c, a in terms:
+        fs = c._factors
+        group = groups.get(id(fs))
+        if group is None:
+            miss = tuple((f, e - fs.get(f, 0)) for f, (e, _) in top.items()
+                         if e > fs.get(f, 0))
+            group = groups[id(fs)] = [miss, sum(fbits[f] * d for f, d in miss), []]
+        s = content // c._content
+        # |c.num * a * s * prod f^d|_inf <= |c.num|_inf |a|_1 s prod |f|_1^d
+        num = c.num
+        w = (max(max(num), -min(num)).bit_length() + sum(map(abs, a)).bit_length()
+             + s.bit_length() + group[1])
+        if w > width:
+            width = w
+        group[2].append((num, s, a))
+    bits = width + len(terms).bit_length() + 1  # room for the sum and its sign
+    pf = {f: _pack(f, bits) for f in top}
+    total = 0
+    for miss, _, rows in groups.values():
+        x = sum(_pack(num, bits) * _pack(a, bits) * s for num, s, a in rows)
+        for f, d in miss:
+            x *= pf[f] ** d
+        total += x
     factors = {f: e for f, (e, _) in top.items()} or _NO_FACTORS
-    linear = all(len(f) == 2 for f in top)
-    test = [f for f, (_, n) in top.items() if n > 1] if linear else None
-    return _reduce(poly_trim(total), content, factors, test)
+    test = None
+    if all(len(f) == 2 for f in top) and all(len(a) <= 2 for _, a in terms):
+        weights = {poly_primitive(a) for _, a in terms if len(a) == 2}
+        test = [f for f, (_, n) in top.items() if n > 1 or f in weights]
+    return _reduce(_unpack(total, bits), content, factors, test)
+
+
+def share_den(x: KappaRational, seen: dict) -> KappaRational:
+    """x with the factor dict and expanded ``den`` of the first value in
+    ``seen``, the caller's table, that has the same denominator.
+
+    So each distinct denominator is expanded once and stored once.
+    """
+    twin = seen.setdefault((x._content, frozenset(x._factors.items())), x)
+    return _make(x.num, x._content, twin._factors, twin.den)
 
 
 def kappa_linear(const: int, slope: int) -> KappaRational:

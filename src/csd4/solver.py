@@ -20,7 +20,7 @@ from types import MappingProxyType
 
 from . import hamiltonian
 from .errors import InternalInconsistency, PoleAtKappa
-from .kappa import KappaRational, kappa_sum
+from .kappa import KappaRational, kappa_sum, share_den
 from .rootsystem import check_dominant, height, root_to_weight, weight_to_root
 from .zpoly import ZPolynomial
 
@@ -112,13 +112,16 @@ def solve(m) -> CSPolynomial:
     """Compute the eigenpolynomial for dominant quantum numbers m.
 
     The cone is visited in its (height, mu) order.  Once the coefficient c
-    of z^e is known, the term c*a is appended to ``pending[f]`` for every
-    off-diagonal term a*z^f of L z^e.  The terms of a later z^e are summed
-    once, by :func:`csd4.kappa.kappa_sum`, and divided by eps(m) - eps(e),
-    eps(e) read off the diagonal of the same L z^e; a zero sum is a zero
-    coefficient.  Every term must land on an exponent visited later:
-    anything left in ``pending`` was reached out of order or outside the
-    cone, and raises :class:`InternalInconsistency`.
+    of z^e is known, the pair (c, a) is appended to ``pending[f]`` for every
+    off-diagonal term a*z^f of L z^e (a is an integer polynomial in the
+    coupling: the operator's coefficients are).  The products c*a of a later
+    z^e are summed once, by :func:`csd4.kappa.kappa_sum`, and divided by
+    eps(m) - eps(e), eps(e) read off the diagonal of the same L z^e; a zero
+    sum is a zero coefficient.  Coefficients with equal denominators share
+    one expanded ``den`` (:func:`csd4.kappa.share_den`).  Every term must
+    land on an exponent visited later: anything left in ``pending`` was
+    reached out of order or outside the cone, and raises
+    :class:`InternalInconsistency`.
     """
     m = check_dominant(m)
     if m in _CACHE:
@@ -127,6 +130,7 @@ def solve(m) -> CSPolynomial:
     eps_m = hamiltonian.eigenvalue(m)
 
     pending: dict = {}  # exponent -> the terms pushed onto it, summed at pop
+    dens: dict = {}  # the distinct denominators met so far, for share_den
     coeffs: dict = {}
     terms: dict = {}
     for el in cone.elements:
@@ -142,11 +146,12 @@ def solve(m) -> CSPolynomial:
                     f"vanishing symbolic eigenvalue difference at mu={el.mu}"
                 )
             c = c / denom
-            c.den  # expand the factored denominator here, not at a caller's first use
-        coeffs[el.mu] = terms[e] = c
+        # Expand each distinct denominator here, once, not at a caller's
+        # first use.
+        coeffs[el.mu] = terms[e] = c = share_den(c, dens)
         for f, a in image.items():
             if f != e:
-                pending.setdefault(f, []).append(c * a)
+                pending.setdefault(f, []).append((c, a.num))
     if pending:
         raise InternalInconsistency(
             f"L reaches z^{min(pending)} out of the height order of the cone of {m}"

@@ -183,10 +183,11 @@ def power_product(start, factors, mults):
 
 
 @st.composite
-def factored_operands(draw, pool):
+def factored_operands(draw, pool, quadratics=QUADRATICS):
     """(x, raw_num, raw_den): x built from a numerator sharing some of the
     pool's factors and a denominator with repeated pool factors, a content
-    and maybe an unfactored quadratic, by division or by the constructor."""
+    and maybe one of the unfactored ``quadratics``, by division or by the
+    constructor."""
     base = draw(st.lists(small_ints, min_size=1, max_size=2).filter(any).map(tuple))
     num = power_product(
         poly_scale(base, draw(st.integers(1, 6))),
@@ -195,7 +196,7 @@ def factored_operands(draw, pool):
     )
     content = draw(st.integers(1, 12))
     mults = draw(st.lists(st.integers(0, 2), min_size=len(pool), max_size=len(pool)))
-    quad = draw(st.sampled_from([None, *QUADRATICS]))
+    quad = draw(st.sampled_from([None, *quadratics]))
     den = power_product((content,), pool, mults)
     if quad:
         den = poly_mul(den, quad)
@@ -227,6 +228,8 @@ def test_factored_arithmetic_matches_gcd_reference(data):
         (a - b, poly_sub(poly_mul(an, bd), poly_mul(bn, ad)), poly_mul(ad, bd)),
         (a * b, poly_mul(an, bn), poly_mul(ad, bd)),
         (a / b, poly_mul(an, bd), poly_mul(ad, bn)),
+        (kappa_sum([(a, (1,)), (b, (-1,))]), poly_sub(poly_mul(an, bd), poly_mul(bn, ad)),
+         poly_mul(ad, bd)),
         # a sum whose lowest terms need the factors b brought in cancelled
         (
             (a + b) - b,
@@ -249,21 +252,46 @@ def test_factored_arithmetic_matches_gcd_reference(data):
                 assert got.substitute(root) == value
 
 
+@st.composite
+def weights(draw, pool, term, kinds):
+    """An integer polynomial weight for ``term``: a constant, or a multiple
+    of a pool factor (of one the term carries, if any, so that it may
+    cancel), of (5, 7) (which no term carries) or of their product."""
+    scale = draw(st.integers(-6, 6).filter(bool))
+    kind = draw(st.sampled_from(kinds))
+    if kind == "constant":
+        return (scale,)
+    carried = [f for f in pool if poly_eval(term.den, Fraction(-f[0], f[1])) == 0]
+    f = draw(st.sampled_from(carried if carried and kind != "pool" else pool))
+    shape = {"other": (5, 7), "product": poly_mul(f, (5, 7))}.get(kind, f)
+    return poly_scale(shape, scale)
+
+
+LINEAR_WEIGHTS = ["constant", "pool", "carried", "other"]
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.data())
 def test_kappa_sum_matches_gcd_reference(data):
     pool = data.draw(
         st.lists(st.sampled_from(LINEAR), min_size=3, max_size=3, unique=True)
     )
-    drawn = data.draw(st.lists(factored_operands(pool), min_size=0, max_size=5))
-    terms = [x for x, _, _ in drawn]
+    # Only with linear factors and weights does the sum test some factors
+    # and not all, so each example draws one of three regimes.
+    regime = data.draw(st.sampled_from(["linear", "quadratic weight", "opaque"]))
+    quadratics = QUADRATICS if regime == "opaque" else ()
+    kinds = LINEAR_WEIGHTS if regime == "linear" else [*LINEAR_WEIGHTS, "product"]
+    drawn = data.draw(
+        st.lists(factored_operands(pool, quadratics), min_size=0, max_size=5)
+    )
+    terms = [(x, data.draw(weights(pool, x, kinds))) for x, _, _ in drawn]
     raw_num, raw_den = (), (1,)
-    for _, num, den in drawn:
-        raw_num = poly_add(poly_mul(raw_num, den), poly_mul(num, raw_den))
+    for (_, num, den), (_, a) in zip(drawn, terms):
+        raw_num = poly_add(poly_mul(raw_num, den), poly_mul(poly_mul(num, a), raw_den))
         raw_den = poly_mul(raw_den, den)
     total = kappa_sum(terms)
     assert (total.num, total.den) == gcd_reference(raw_num, raw_den)
     # A term cancelling a prefix leaves factors that several terms carry at
     # their top multiplicity, which the restricted test must still cancel.
     j = data.draw(st.integers(0, len(terms)))
-    assert kappa_sum([*terms, -kappa_sum(terms[:j])]) == kappa_sum(terms[j:])
+    assert kappa_sum([*terms, (-kappa_sum(terms[:j]), (1,))]) == kappa_sum(terms[j:])

@@ -189,15 +189,43 @@ def test_solve_runs_no_polynomial_gcd(monkeypatch):
 
 
 def test_even_special_coupling_family_exact():
-    # P_{2j rho}((1-2j)/2) = P_{2 rho}(-1/2)^j, here j = 2: both sides are
-    # delta^(2j), delta the Weyl denominator.
-    square = solver.specialize(solver.solve((2, 2, 2, 2)), Fraction(-1, 2)) ** 2
-    fourth = solver.specialize(solver.solve((4, 4, 4, 4)), Fraction(-3, 2))
-    assert fourth == square
-    assert len(fourth) == 793
+    # P_{2j rho}((1-2j)/2) = P_{2 rho}(-1/2)^j, here j = 2 and 3: both sides
+    # are delta^(2j), delta the Weyl denominator.
+    base = solver.specialize(solver.solve((2, 2, 2, 2)), Fraction(-1, 2))
+    for j, size in ((2, 793), (3, 3275)):
+        got = solver.specialize(solver.solve((2 * j,) * 4), Fraction(1 - 2 * j, 2))
+        assert got == base**j, j
+        assert len(got) == size
+
+
+def test_equal_denominators_share_one_expansion():
+    solver.clear_cache()
+    try:
+        p = solver.solve((4, 4, 4, 4))
+    finally:
+        solver.clear_cache()
+    first: dict = {}
+    for c in p.coefficients.values():
+        twin = first.setdefault(c.den, c)
+        assert c.den is twin.den and c._factors is twin._factors
+    assert len(first) == 86
 
 
 LADDER_DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "ladder_digests.json"
+SOLVE_DIGESTS = Path(__file__).resolve().parent / "solve_digests.json"
+
+
+def cold_solve_digest(m, digests):
+    """(sha256 of the canonical fixture JSON of a cold solve, the recorded one)."""
+    with open(digests) as fh:
+        want = json.load(fh)[json.dumps(list(m))]
+    solver.clear_cache()
+    try:
+        obj = solver.solve(m).to_fixture_obj()
+    finally:
+        solver.clear_cache()
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest(), want
 
 
 @pytest.mark.parametrize("m", [
@@ -207,15 +235,15 @@ LADDER_DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "ladder_dig
 def test_solve_matches_ladder_digest(m):
     # The benchmark's recorded digests pin the exact output past the golden
     # corpus.
-    with open(LADDER_DIGESTS) as fh:
-        want = json.load(fh)[json.dumps(list(m))]
-    solver.clear_cache()
-    try:
-        obj = solver.solve(m).to_fixture_obj()
-    finally:
-        solver.clear_cache()
-    text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
-    assert hashlib.sha256(text.encode()).hexdigest() == want
+    got, want = cold_solve_digest(m, LADDER_DIGESTS)
+    assert got == want
+
+
+@pytest.mark.parametrize("m", [(5, 5, 5, 5), (6, 6, 6, 6)])
+def test_solve_matches_recorded_digest(m):
+    # Past the ladder, where the packed sums are widest.
+    got, want = cold_solve_digest(m, SOLVE_DIGESTS)
+    assert got == want
 
 
 @pytest.mark.parametrize("extra", [(2, 0, 0, 0), (0, 0, 0, 5)],
