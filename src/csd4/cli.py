@@ -37,8 +37,8 @@ def _parse_m(text: str):
 
 
 # argparse reads an argument starting with "-" as an option unless it looks
-# like -1 or -0.5; a coupling may also be written -p/q.
-_NEGATIVE_NUMBER = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+# like -1 or -0.5; a coupling may also be written -p/q or -1e0.
+_NEGATIVE_NUMBER = re.compile(r"^-\d+/\d+$|^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
 def _parse_coupling(text: str) -> Fraction:
@@ -270,6 +270,11 @@ def main(argv=None) -> int:
     except PoleAtKappa as exc:
         print(f"pole/resonance: {exc}", file=sys.stderr)
         return EXIT_POLE
+    except OverflowError:
+        if args.command != "qcheck":  # the one command that floats a coupling
+            raise
+        ap.error(f"--kappa {float(args.kappa):g} is too large for the floating-point "
+                 "torus check")
 
 
 if __name__ == "__main__":

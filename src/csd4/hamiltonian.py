@@ -7,9 +7,10 @@ the table ``_SECOND``/``_FIRST``.  It is normalized so that L P = eps(m) P on
 the eigenpolynomial with quantum numbers m, eps the excitation energy.
 
 Two algorithms run over that table: generic differentiation (:func:`apply`),
-and the action on one monomial (:func:`apply_to_monomial`), whose eigenvalue
-and downward shift families are derived from the table at import.  The
-second is the solver's one evaluator of L; tests check it against the first.
+and the action on one monomial (:func:`apply_to_monomial`), which evaluates
+the table's terms grouped at import by the shift they apply; the s = 0 group
+is the eigenvalue.  The second is the solver's one evaluator of L; tests
+check it against the first.
 The table itself is checked independently, by the finite-difference operator
 on the torus (:mod:`csd4.qspace`) and against the energy's quadratic form.
 """
@@ -17,7 +18,7 @@ on the torus (:mod:`csd4.qspace`) and against the energy's quadratic form.
 from __future__ import annotations
 
 from .kappa import KappaRational, kappa_linear
-from .rootsystem import check_dominant, height, root_to_weight, weight_to_root
+from .rootsystem import check_dominant, weight_to_root
 from .zpoly import ZPolynomial
 
 
@@ -61,36 +62,28 @@ def apply(p: ZPolynomial) -> ZPolynomial:
     return out
 
 
-def _coefficient(terms, sign: int):
-    """e -> sign * sum of (c0 + c1*k) * prod(e_i - o for (i, o) in factors)."""
-    if len(terms) == 1 and not terms[0][1] and len(terms[0][2]) == 2:
-        c, _, ((i, p), (j, q)) = terms[0]  # one constant second-order term
-        c *= sign
-        return lambda e: kappa_linear(c * (e[i] - p) * (e[j] - q), 0)
-
-    def f(e):
-        const = slope = 0
-        for c0, c1, factors in terms:
-            x = sign
-            for i, o in factors:
-                x *= e[i] - o
-            const += c0 * x
-            slope += c1 * x
-        return kappa_linear(const, slope)
-
-    return f
+def _group_value(terms, e) -> KappaRational:
+    """Sum of (c0 + c1*k) * prod(e_i - o for (i, o) in factors) at exponent e."""
+    const = slope = 0
+    for c0, c1, factors in terms:
+        x = 1
+        for i, o in factors:
+            x *= e[i] - o
+        const += c0 * x
+        slope += c1 * x
+    return kappa_linear(const, slope)
 
 
 def _derive() -> tuple:
-    """eps and the shift families of the monomial action, from the table.
+    """The table's terms, grouped by the shift they apply to a monomial.
 
     A term c*z^a of the coefficient of the derivative with orders n (n_i the
     count of i in the key) sends z^e to c*(e)_n z^(e-s), s = n - a, where
     (e)_n = prod_i e_i (e_i - 1)...(e_i - n_i + 1) is the product of e_i - o
-    over the pairs (i, o) in ``factors``.  Grouped by s, the s = 0 group is
-    eps(e), and each other group, negated, is one shift family: its shift in
-    simple-root coordinates (weight_to_root rejects one off the root lattice)
-    and its coefficient, by ascending height, then descending shift.
+    over the pairs (i, o) in ``factors``.  The s = 0 group is eps(e); each
+    other group, with its shift s in weight coordinates, is the coefficient
+    of z^(e-s) in L z^e.  A coefficient that is not an integer c0 + c1*k, or
+    a shift off the root lattice (weight_to_root), raises ValueError.
     """
     groups: dict = {}
     for key, coeff in [*_SECOND.items(), *(((i,), c) for i, c in _FIRST.items())]:
@@ -101,21 +94,17 @@ def _derive() -> tuple:
                 raise ValueError(f"coefficient {c} of L is not an integer c0 + c1*k")
             s = tuple(x - y for x, y in zip(n, a))
             groups.setdefault(s, []).append((*(c.num + (0, 0))[:2], factors))
-    eps = _coefficient(groups.pop((0, 0, 0, 0)), 1)
-    families = sorted(
-        ((weight_to_root(s), _coefficient(terms, -1)) for s, terms in groups.items()),
-        key=lambda fam: (height(fam[0]), tuple(-x for x in fam[0])),
-    )
-    return eps, tuple(families)
+    for s in groups:
+        weight_to_root(s)
+    return groups.pop((0, 0, 0, 0)), tuple(groups.items())
 
 
-_EPS, MONOMIAL_SHIFT_FAMILIES = _derive()
-_SHIFT_WEIGHTS = tuple((root_to_weight(s), fn) for s, fn in MONOMIAL_SHIFT_FAMILIES)
+_DIAGONAL, _SHIFTED = _derive()
 
 
 def eigenvalue(m) -> KappaRational:
     """Excitation energy eps(m), an exact degree-1 polynomial in the coupling."""
-    return _EPS(check_dominant(m))
+    return _group_value(_DIAGONAL, check_dominant(m))
 
 
 def ground_energy() -> KappaRational:
@@ -129,27 +118,23 @@ def total_energy(m) -> KappaRational:
 
 
 def apply_to_monomial(e) -> ZPolynomial:
-    """L z^e from the derived families, as :func:`csd4.solver.solve` pushes
+    """L z^e from the grouped table, as :func:`csd4.solver.solve` pushes
     each term through it; tests check it against :func:`apply`."""
     e = tuple(e)
     out = {}
     eps = eigenvalue(e)
     if eps:
         out[e] = eps
-    for w, fn in _SHIFT_WEIGHTS:
-        coeff = fn(e)
+    # The shifts are distinct and nonzero, so each term has its own exponent.
+    for s, terms in _SHIFTED:
+        coeff = _group_value(terms, e)
         if not coeff:
             continue
-        shifted = (e[0] - w[0], e[1] - w[1], e[2] - w[2], e[3] - w[3])
+        shifted = (e[0] - s[0], e[1] - s[1], e[2] - s[2], e[3] - s[3])
         if any(x < 0 for x in shifted):
             msg = f"nonzero shift coefficient at invalid exponent {shifted}"
             raise ArithmeticError(msg)
-        acc = out.get(shifted)
-        acc = -coeff if acc is None else acc - coeff
-        if acc:
-            out[shifted] = acc
-        elif shifted in out:
-            del out[shifted]
+        out[shifted] = coeff
     return ZPolynomial(out, _raw=True)
 
 

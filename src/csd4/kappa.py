@@ -204,40 +204,30 @@ def poly_to_str(a: IntPoly) -> str:
     return out
 
 
-_TERM_RE = re.compile(
-    r"^(?P<coeff>\d+)?(?P<star>\*)?(?P<var>k)?(?:\^(?P<pow>\d+))?$"
-)
+_TERM_RE = re.compile(r"(?P<coeff>[0-9]+)?(?:\*?(?P<var>k)(?:\^(?P<pow>[0-9]+))?)?")
 
 
 def poly_from_str(text: str) -> IntPoly:
-    """Parse the canonical rendering produced by :func:`poly_to_str`."""
-    s = text.strip()
-    if s == "0":
-        return _ZERO
-    s = s.replace("-", "+-")
+    """Parse the canonical rendering produced by :func:`poly_to_str`.
+
+    Terms are joined by ``+`` or ``-``, spaces allowed around each sign, and
+    the first may carry a leading sign.  A term is nonempty and holds no
+    space, so ``"-"``, ``"--1"``, ``"1 2"``, ``"1 -"`` or ``"2 k"`` raise
+    ValueError.
+    """
+    parts = re.split(r"\s*([+-])\s*", text.strip())
+    parts = parts[1:] if len(parts) > 1 and not parts[0] else ["+", *parts]
     coeffs: dict[int, int] = {}
-    for chunk in s.split("+"):
-        chunk = chunk.replace(" ", "")
-        if not chunk:
-            continue
-        neg = chunk.startswith("-")
-        if neg:
-            chunk = chunk[1:]
-        m = _TERM_RE.match(chunk)
-        if not m or (m.group("star") and not m.group("var")):
-            raise ValueError(f"malformed polynomial term {chunk!r} in {text!r}")
-        if m.group("pow") and not m.group("var"):
+    for sign, chunk in zip(parts[0::2], parts[1::2]):
+        m = _TERM_RE.fullmatch(chunk)
+        if not chunk or not m:
             raise ValueError(f"malformed polynomial term {chunk!r} in {text!r}")
         coeff = int(m.group("coeff")) if m.group("coeff") else 1
         if m.group("var"):
             power = int(m.group("pow")) if m.group("pow") else 1
         else:
             power = 0
-        if neg:
-            coeff = -coeff
-        coeffs[power] = coeffs.get(power, 0) + coeff
-    if not coeffs:
-        raise ValueError(f"empty polynomial string {text!r}")
+        coeffs[power] = coeffs.get(power, 0) + (-coeff if sign == "-" else coeff)
     out = [0] * (max(coeffs) + 1)
     for power, coeff in coeffs.items():
         out[power] = coeff

@@ -17,16 +17,6 @@ Exponents = tuple  # tuple[int, int, int, int]
 _E0: Exponents = (0, 0, 0, 0)
 
 
-def _coerce_scalar(c):
-    if isinstance(c, KappaRational):
-        return c
-    if isinstance(c, int):
-        return KappaRational(c)
-    if isinstance(c, Fraction):
-        return KappaRational.from_fraction(c)
-    return None
-
-
 class ZPolynomial:
     __slots__ = ("terms",)
 
@@ -36,11 +26,11 @@ class ZPolynomial:
             return
         clean = {}
         for exps, coeff in (terms or {}).items():
-            coeff = _coerce_scalar(coeff)
-            if coeff is None:
-                raise TypeError(f"bad coefficient for {exps}")
-            if coeff:
-                clean[tuple(exps)] = coeff
+            c = KappaRational._coerce(coeff)
+            if c is NotImplemented:
+                raise TypeError(f"bad coefficient {coeff!r} for {exps}")
+            if c:
+                clean[tuple(exps)] = c
         self.terms = clean
 
     # -- constructors ----------------------------------------------------
@@ -55,11 +45,10 @@ class ZPolynomial:
 
     @classmethod
     def monomial(cls, exps, coeff=1) -> "ZPolynomial":
-        coeff = _coerce_scalar(coeff)
         exps = tuple(exps)
         if len(exps) != 4 or any(e < 0 for e in exps):
             raise ValueError(f"bad exponent tuple {exps}")
-        return cls({exps: coeff} if coeff else {}, _raw=True)
+        return cls({exps: coeff})
 
     @classmethod
     def variable(cls, j: int) -> "ZPolynomial":
@@ -102,8 +91,8 @@ class ZPolynomial:
         return (-self) + other
 
     def __mul__(self, other):
-        scalar = _coerce_scalar(other)
-        if scalar is not None:
+        scalar = KappaRational._coerce(other)
+        if scalar is not NotImplemented:
             if not scalar:
                 return ZPolynomial.zero()
             return ZPolynomial(
@@ -146,8 +135,8 @@ class ZPolynomial:
     def _coerce(self, other):
         if isinstance(other, ZPolynomial):
             return other
-        scalar = _coerce_scalar(other)
-        if scalar is None:
+        scalar = KappaRational._coerce(other)
+        if scalar is NotImplemented:
             return NotImplemented
         return ZPolynomial.constant(scalar)
 

@@ -165,6 +165,8 @@ def test_verify_all_record_set(capsys):
     ["qcheck", "--m", "1,0,0,0", "--step", "inf", "--samples", "1"],
     ["verify", "--suite", "qcheck", "--step", "inf"],
     ["qcheck", "--m", "1,0,0,0", "--kappa", "1e400"],
+    # finite as a float, but the eigenvalue at this coupling is not
+    ["qcheck", "--m", "1,0,0,0", "--kappa", "1e308", "--samples", "1"],
     # a step at or below machine epsilon cannot move a torus angle of order 1
     ["qcheck", "--m", "1,0,0,0", "--step", "1e-200", "--samples", "1"],
     ["verify", "--suite", "qcheck", "--step", "1e-200"],
@@ -180,8 +182,8 @@ def test_verify_all_record_set(capsys):
     "qcheck-samples", "qcheck-tolerance-negative", "qcheck-tolerance-zero",
     "qcheck-tolerance-nan", "qcheck-tolerance-inf", "verify-tolerance-negative",
     "verify-tolerance-nan", "verify-tolerance-inf", "qcheck-step-inf",
-    "verify-step-inf", "qcheck-kappa-overflow", "qcheck-step-underflow",
-    "verify-step-underflow", "qcheck-step-below-epsilon",
+    "verify-step-inf", "qcheck-kappa-overflow", "qcheck-energy-overflow",
+    "qcheck-step-underflow", "verify-step-underflow", "qcheck-step-below-epsilon",
     "qcheck-step-rounding", "verify-step-rounding", "qcheck-step-for-tolerance",
 ])
 def test_usage_error_exit_code(argv, capsys):
@@ -204,7 +206,9 @@ def test_pole_exit_code(capsys):
 @pytest.mark.parametrize("argv", [
     ["compute", "--m", "1,0,0,0", "--kappa", "-1/2"],
     ["qcheck", "--m", "1,0,0,0", "--kappa", "-7/10", "--samples", "1"],
-], ids=["compute", "qcheck"])
+    ["compute", "--m", "1,0,0,0", "--kappa", "-1e0"],
+    ["qcheck", "--m", "1,0,0,0", "--kappa", "-7E-1", "--samples", "1"],
+], ids=["compute", "qcheck", "compute-exponent", "qcheck-exponent"])
 def test_negative_coupling_with_space(argv, capsys):
     i = argv.index("--kappa")
     joined = [*argv[:i], f"--kappa={argv[i + 1]}", *argv[i + 2:]]

@@ -86,21 +86,29 @@ def test_triality_equivariance(p):
         )
 
 
-def test_shift_families_derived_in_order():
-    # Ascending height, then descending shift; only (1,2,1,1) depends on k.
-    assert [shift for shift, _ in ham.MONOMIAL_SHIFT_FAMILIES] == [
+def test_shift_groups_derived_from_table():
+    # All 17 shifts reach (3,4,3,3); only (1,2,1,1) depends on k.
+    e = (3, 4, 3, 3)
+    image = ham.apply_to_monomial(e).terms
+    off = {rs.weight_to_root(tuple(x - y for x, y in zip(e, f))): c
+           for f, c in image.items() if f != e}
+    assert set(off) == {
         (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
         (1, 1, 0, 0), (0, 1, 1, 0), (0, 1, 0, 1),
         (1, 1, 1, 0), (1, 1, 0, 1), (0, 1, 1, 1),
         (1, 2, 1, 0), (1, 2, 0, 1), (0, 2, 1, 1),
         (1, 2, 1, 1),
         (2, 2, 1, 1), (1, 2, 2, 1), (1, 2, 1, 2),
-    ]
+    }
+    assert [mu for mu, c in off.items() if len(c.num) == 2] == [(1, 2, 1, 1)]
     e = (2, 3, 1, 4)
-    assert [len(fn(e).num) for _, fn in ham.MONOMIAL_SHIFT_FAMILIES].count(2) == 1
-    assert dict(ham.MONOMIAL_SHIFT_FAMILIES)[(1, 2, 1, 1)](e) == kappa_linear(
-        16 * 3 * (2 - 3 + 2 + 1 + 4), -16 * 3
-    )
+    w = rs.root_to_weight((1, 2, 1, 1))
+    shifted = tuple(x - y for x, y in zip(e, w))
+    assert ham.apply_to_monomial(e).terms[shifted] == kappa_linear(-288, 48)
+    # apply_to_monomial assigns each group's term without merging: no two
+    # shifts may land on the same exponent, nor on the diagonal.
+    shifts = [s for s, _ in ham._SHIFTED]
+    assert len(set(shifts)) == len(shifts) == 17 and (0, 0, 0, 0) not in shifts
 
 
 @pytest.mark.parametrize("coeff, exps", [
@@ -115,8 +123,8 @@ def test_derivation_rejects_unrepresentable_entry(monkeypatch, coeff, exps):
 
 
 def test_monomial_route_rejects_invalid_exponent(monkeypatch):
-    always = (rs.root_to_weight((1, 0, 0, 0)), lambda e: KappaRational(1))
-    monkeypatch.setattr(ham, "_SHIFT_WEIGHTS", (always,))
+    always = (rs.root_to_weight((1, 0, 0, 0)), [(1, 0, ())])  # the constant 1
+    monkeypatch.setattr(ham, "_SHIFTED", (always,))
     with pytest.raises(ArithmeticError):
         ham.apply_to_monomial((0, 0, 0, 0))
 

@@ -1,5 +1,6 @@
 """Canonical-form and field-arithmetic tests for the coupling rationals."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from csd4 import fixtures
 from csd4.errors import PoleAtKappa
 from csd4.kappa import (
     KappaRational,
@@ -22,6 +24,7 @@ from csd4.kappa import (
     poly_scale,
     poly_sub,
     poly_to_str,
+    poly_trim,
 )
 
 
@@ -87,6 +90,30 @@ def test_poly_string_format():
     assert poly_from_str("-k") == (0, -1)
     with pytest.raises(ValueError):
         poly_from_str("k**2")
+
+
+@pytest.mark.parametrize("text", [
+    "-", "--1", "1 2", "k - - 2", "1 -", "1 + ", "2 k", "", "+", "1 + + k", "2*", "^2",
+    "\u0663",  # a digit, but not an ASCII one
+])
+def test_poly_from_str_rejects_malformed(text):
+    with pytest.raises(ValueError):
+        poly_from_str(text)
+
+
+def test_poly_strings_round_trip():
+    for a in itertools.product(range(-3, 4), repeat=3):
+        a = poly_trim(a)
+        assert poly_from_str(poly_to_str(a)) == a
+    golden = fixtures.load_golden()
+    strings = [eps for p in golden["polynomials"] for eps in p["epsilon"].values()]
+    for entries in golden.values():
+        for entry in entries:
+            for item in entry.get("coeffs", entry.get("terms", [])):
+                strings += [item["num"], item["den"]]
+    assert len(strings) > 300  # the walk reached every file of the corpus
+    for s in strings:
+        assert poly_to_str(poly_from_str(s)) == s
 
 
 def test_kappa_linear():

@@ -62,6 +62,20 @@ def test_monomial_validation():
         ZPolynomial.monomial((1, -1, 0, 0))
 
 
+@pytest.mark.parametrize("bad", ["x", 2.5, None])
+def test_bad_scalar_raises_type_error(bad):
+    # Every entry point takes the scalars KappaRational takes, and no other.
+    for build in (
+        lambda: ZPolynomial.monomial((1, 0, 0, 0), bad),
+        lambda: ZPolynomial.constant(bad),
+        lambda: ZPolynomial({(1, 0, 0, 0): bad}),
+        lambda: Z1 * bad,
+    ):
+        with pytest.raises(TypeError):
+            build()
+    assert ZPolynomial.constant(Fraction(1, 2)) == ZPolynomial.constant(KappaRational(1, 2))
+
+
 def test_json_roundtrip():
     p = Z1**2 * Z3 * KappaRational((1, 2), (3, 0, 1)) - Z4 * 7 + 2
     obj = p.to_json_obj()
