@@ -78,7 +78,7 @@ _STEP = _bounded(float, sys.float_info.epsilon, strict=True)
 
 def _emit(obj, as_json: bool, text_fallback=None):
     if as_json:
-        print(json.dumps(obj, sort_keys=True, indent=2))
+        print(json.dumps(obj, sort_keys=True, indent=2, allow_nan=False))
     else:
         print(text_fallback if text_fallback is not None else obj)
 
@@ -148,6 +148,8 @@ def cmd_genfun(args) -> int:
 def cmd_qcheck(args) -> int:
     points = qspace.generic_points(args.seed, args.samples)
     results, worst, signs = qspace.scan_residuals(args.m, args.kappa, points, args.step)
+    if not math.isfinite(worst):  # the floats overflowed: nothing was checked
+        raise OverflowError("non-finite torus residual")
     rows = [{"q": list(q), "residual": r.residual, "sign": r.sign}
             for q, r in zip(points, results)]
     ok = worst < args.tolerance and len(signs) == 1

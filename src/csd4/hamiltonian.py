@@ -107,16 +107,6 @@ def eigenvalue(m) -> KappaRational:
     return _group_value(_DIAGONAL, check_dominant(m))
 
 
-def ground_energy() -> KappaRational:
-    """Total ground-state energy 28 k^2."""
-    return KappaRational((0, 0, 28))
-
-
-def total_energy(m) -> KappaRational:
-    """Total energy of level m: excitation plus ground-state energy."""
-    return eigenvalue(m) + ground_energy()
-
-
 def apply_to_monomial(e) -> ZPolynomial:
     """L z^e from the grouped table, as :func:`csd4.solver.solve` pushes
     each term through it; tests check it against :func:`apply`."""

@@ -60,10 +60,6 @@ def poly_neg(a: IntPoly) -> IntPoly:
     return tuple(-c for c in a)
 
 
-def poly_sub(a: IntPoly, b: IntPoly) -> IntPoly:
-    return poly_add(a, poly_neg(b))
-
-
 def poly_mul(a: IntPoly, b: IntPoly) -> IntPoly:
     if not a or not b:
         return _ZERO

@@ -50,18 +50,6 @@ def sine_product(q) -> complex:
     return out
 
 
-def ground_state(q, kappa) -> complex:
-    """The (non-normalized) ground-state wavefunction, principal powers."""
-    if kappa == 0:
-        return 1.0 + 0j
-    base = sine_product(q)
-    return base ** kappa
-
-
-def ground_energy_value(kappa: float) -> float:
-    return 28.0 * kappa * kappa
-
-
 def min_sine(q) -> float:
     return min(
         min(abs(cmath.sin(q[j] - q[k])), abs(cmath.sin(q[j] + q[k])))

@@ -25,9 +25,6 @@ class TauSeries:
     def zero(cls, order: int) -> "TauSeries":
         return cls([], order)
 
-    def truncate(self, order: int) -> "TauSeries":
-        return TauSeries(self.coeffs, order)
-
     def _common_order(self, other) -> int:
         return min(self.order, other.order)
 

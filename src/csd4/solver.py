@@ -10,18 +10,33 @@ and its off-diagonal image summed into the terms still to come.  A later
 coefficient is that sum over an eigenvalue difference, a nonzero
 polynomial in the coupling (so the symbolic solve never divides by zero;
 numeric resonances only appear on specialization).
+
+Triality permutes z1, z3, z4 and commutes with L, so a permutation sigma
+that fixes m fixes the monic eigenpolynomial too: c(sigma mu) = c(mu).  The
+pass therefore solves only the first exponent of each orbit of the
+stabilizer of m (its orbit minimum in cone order), pushes the image of
+every orbit member from that one evaluation of L, and hands the other
+members the minimum's coefficient.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
+from operator import itemgetter
 from types import MappingProxyType
 
 from . import hamiltonian
 from .errors import InternalInconsistency, PoleAtKappa
 from .kappa import KappaRational, kappa_sum, share_den
-from .rootsystem import check_dominant, height, root_to_weight, weight_to_root
+from .rootsystem import (
+    TRIALITY_MAPS,
+    apply_triality,
+    check_dominant,
+    height,
+    root_to_weight,
+    weight_to_root,
+)
 from .zpoly import ZPolynomial
 
 
@@ -111,14 +126,21 @@ _CACHE: dict = {}
 def solve(m) -> CSPolynomial:
     """Compute the eigenpolynomial for dominant quantum numbers m.
 
-    The cone is visited in its (height, mu) order.  Once the coefficient c
-    of z^e is known, the pair (c, a) is appended to ``pending[f]`` for every
-    off-diagonal term a*z^f of L z^e (a is an integer polynomial in the
-    coupling: the operator's coefficients are).  The products c*a of a later
-    z^e are summed once, by :func:`csd4.kappa.kappa_sum`, and divided by
-    eps(m) - eps(e), eps(e) read off the diagonal of the same L z^e; a zero
-    sum is a zero coefficient.  Coefficients with equal denominators share
-    one expanded ``den`` (:func:`csd4.kappa.share_den`).  Every term must
+    The cone is visited in its (height, mu) order.  A first pass maps each
+    exponent to the first member of its orbit under the triality
+    permutations that fix m; that member is the orbit minimum, and with a
+    trivial stabilizer every exponent is its own.  At an orbit minimum z^e
+    the pairs (c, a) collected for it are summed once by
+    :func:`csd4.kappa.kappa_sum` and divided by eps(m) - eps(e), eps(e) read
+    off the diagonal of L z^e; a zero sum is a zero coefficient.
+    Coefficients with equal denominators share one expanded ``den``
+    (:func:`csd4.kappa.share_den`).  Then, for every distinct member
+    g = sigma e of the orbit, each off-diagonal term a*z^f of L z^e gives
+    the term a*z^(sigma f) of L z^g (a is an integer polynomial in the
+    coupling: the operator's coefficients are), and the pair (c, a) is
+    appended to ``pending`` when sigma f is an orbit minimum.  Any other
+    member of an orbit takes the minimum's coefficient object itself, at
+    its own place in cone order, with no evaluation of L.  Every term must
     land on an exponent visited later: anything left in ``pending`` was
     reached out of order or outside the cone, and raises
     :class:`InternalInconsistency`.
@@ -128,13 +150,28 @@ def solve(m) -> CSPolynomial:
         return _CACHE[m]
     cone = support_cone(m)
     eps_m = hamiltonian.eigenvalue(m)
+    # sigma e as a tuple lookup, one per permutation fixing m (identity first)
+    moves = [itemgetter(*apply_triality((0, 1, 2, 3), sigma))
+             for sigma in TRIALITY_MAPS if apply_triality(m, sigma) == m]
+    minimum: dict = {}  # exponent -> its orbit minimum, for the others only
+    for el in cone.elements:
+        if el.exponent not in minimum:
+            for move in moves[1:]:
+                g = move(el.exponent)
+                if g != el.exponent:
+                    minimum[g] = el.exponent
 
-    pending: dict = {}  # exponent -> the terms pushed onto it, summed at pop
+    pending: dict = {}  # orbit minimum -> the terms pushed onto it, summed at pop
     dens: dict = {}  # the distinct denominators met so far, for share_den
     coeffs: dict = {}
     terms: dict = {}
     for el in cone.elements:
         e = el.exponent
+        if e in minimum:
+            c = terms.get(minimum[e])
+            if c is not None:
+                coeffs[el.mu] = terms[e] = c
+            continue
         c = kappa_sum(pending.pop(e, ())) if el.height else KappaRational(1)
         if not c:
             continue  # the coefficient vanishes identically
@@ -149,9 +186,15 @@ def solve(m) -> CSPolynomial:
         # Expand each distinct denominator here, once, not at a caller's
         # first use.
         coeffs[el.mu] = terms[e] = c = share_den(c, dens)
-        for f, a in image.items():
-            if f != e:
-                pending.setdefault(f, []).append((c, a.num))
+        # L z^(sigma e) = sigma(L z^e) for each distinct member sigma e.  A
+        # term landing off an orbit minimum is dropped: its mirror image on
+        # the minimum comes from another member.
+        pushes = [(f, a.num) for f, a in image.items() if f != e]
+        for move in {move(e): move for move in moves}.values():
+            for f, a in pushes:
+                f = move(f)
+                if f not in minimum:
+                    pending.setdefault(f, []).append((c, a))
     if pending:
         raise InternalInconsistency(
             f"L reaches z^{min(pending)} out of the height order of the cone of {m}"

@@ -167,6 +167,8 @@ def test_verify_all_record_set(capsys):
     ["qcheck", "--m", "1,0,0,0", "--kappa", "1e400"],
     # finite as a float, but the eigenvalue at this coupling is not
     ["qcheck", "--m", "1,0,0,0", "--kappa", "1e308", "--samples", "1"],
+    # the eigenvalue is finite, but the torus arithmetic overflows to NaN
+    ["qcheck", "--m", "1,0,0,0", "--kappa", "1e307", "--samples", "1"],
     # a step at or below machine epsilon cannot move a torus angle of order 1
     ["qcheck", "--m", "1,0,0,0", "--step", "1e-200", "--samples", "1"],
     ["verify", "--suite", "qcheck", "--step", "1e-200"],
@@ -183,6 +185,7 @@ def test_verify_all_record_set(capsys):
     "qcheck-tolerance-nan", "qcheck-tolerance-inf", "verify-tolerance-negative",
     "verify-tolerance-nan", "verify-tolerance-inf", "qcheck-step-inf",
     "verify-step-inf", "qcheck-kappa-overflow", "qcheck-energy-overflow",
+    "qcheck-residual-overflow",
     "qcheck-step-underflow", "verify-step-underflow", "qcheck-step-below-epsilon",
     "qcheck-step-rounding", "verify-step-rounding", "qcheck-step-for-tolerance",
 ])

@@ -20,16 +20,17 @@ def test_eigenvalue_values():
     assert ham.eigenvalue((1, 1, 0, 0)) == kappa_linear(10, 32)
 
 
-def test_total_energy_matches_quadratic_form():
-    # 2(lam + k rho, lam + k rho) recomputed through the inverse Cartan matrix
+def test_eigenvalue_matches_quadratic_form():
+    # 2(lam + k rho, lam + k rho) - 2k^2(rho, rho), recomputed through the
+    # inverse Cartan matrix
     assert rs.inner(rs.WEYL_VECTOR, rs.WEYL_VECTOR) == 14
     weights = [m for m in itertools.product(range(4), repeat=4) if sum(m) <= 3]
     assert len(weights) == 35
     for m in weights + [(2, 2, 2, 2), (0, 3, 1, 2)]:
         lam2 = rs.inner(m, m)
         lamrho = rs.inner(m, rs.WEYL_VECTOR)
-        want = KappaRational((int(2 * lam2), int(4 * lamrho), 28))
-        assert ham.total_energy(m) == want
+        want = KappaRational((int(2 * lam2), int(4 * lamrho)))
+        assert ham.eigenvalue(m) == want
 
 
 def test_apply_on_simple_inputs():

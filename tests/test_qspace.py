@@ -31,14 +31,6 @@ def test_characters_symmetric_under_angle_permutation():
         assert abs(a - b) < 1e-10
 
 
-def test_ground_state():
-    q = (0.3, 0.7, 1.1, 1.9)
-    assert qspace.ground_state(q, 0) == 1
-    qq = (0.5, 0.5, 1.1, 1.9)
-    assert abs(qspace.ground_state(qq, 1)) < 1e-12
-    assert qspace.ground_energy_value(2.0) == 112.0
-
-
 def test_residual_examples():
     q = generic_points(3, 1)[0]
     r = qspace.hamiltonian_residual((1, 0, 0, 0), Fraction(1), q, 1e-4)

@@ -64,7 +64,7 @@ def test_mul_div_roundtrip_random():
 
 def test_truncation_consistency():
     a = TauSeries([ONE, Z1, Z2, Z1 * Z2], 3)
-    b = a.truncate(1)
+    b = TauSeries(a.coeffs, 1)
     assert b.order == 1 and len(b.coeffs) == 2
     prod = a * a
     assert prod.order == 3

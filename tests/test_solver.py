@@ -239,11 +239,30 @@ def test_solve_matches_ladder_digest(m):
     assert got == want
 
 
-@pytest.mark.parametrize("m", [(5, 5, 5, 5), (6, 6, 6, 6)])
+@pytest.mark.parametrize("m", [
+    (5, 5, 5, 5), (6, 6, 6, 6), (8, 8, 8, 8), (1, 2, 1, 3), (3, 1, 0, 2),
+])
 def test_solve_matches_recorded_digest(m):
-    # Past the ladder, where the packed sums are widest.
+    # Past the ladder, where the packed sums are widest, and at a stabilizer
+    # {1, swap 1<->3} and a trivial one.  Recorded before the orbit walk.
     got, want = cold_solve_digest(m, SOLVE_DIGESTS)
     assert got == want
+
+
+def test_orbit_images_share_the_coefficient_object():
+    # Every triality permutation fixes (4,4,4,4): the solve computes one
+    # coefficient per orbit and hands the same object to the other members.
+    m = (4, 4, 4, 4)
+    solver.clear_cache()
+    try:
+        coeffs = solver.solve(m).coefficients
+    finally:
+        solver.clear_cache()
+    assert len(rs.TRIALITY_MAPS) == 6
+    for sigma in rs.TRIALITY_MAPS:
+        assert rs.apply_triality(m, sigma) == m
+        for mu, c in coeffs.items():
+            assert coeffs[rs.apply_triality(mu, sigma)] is c, (sigma, mu)
 
 
 @pytest.mark.parametrize("extra", [(2, 0, 0, 0), (0, 0, 0, 5)],
