@@ -9,7 +9,7 @@ from .errors import (
 )
 from .kappa import KappaRational
 from .series import TauSeries
-from .solver import CSPolynomial, solve, specialize, support_cone, verify_eigen
+from .solver import CSPolynomial, solve, solve_at, specialize, support_cone, verify_eigen
 from .zpoly import ZPolynomial
 
 __all__ = [
@@ -22,6 +22,7 @@ __all__ = [
     "TauSeries",
     "ZPolynomial",
     "solve",
+    "solve_at",
     "specialize",
     "support_cone",
     "verify_eigen",

@@ -78,7 +78,9 @@ _STEP = _bounded(float, sys.float_info.epsilon, strict=True)
 
 def _emit(obj, as_json: bool, text_fallback=None):
     if as_json:
-        print(json.dumps(obj, sort_keys=True, indent=2, allow_nan=False))
+        # Streamed: the indented text of a large solve is never held whole.
+        json.dump(obj, sys.stdout, sort_keys=True, indent=2, allow_nan=False)
+        sys.stdout.write("\n")
     else:
         print(text_fallback if text_fallback is not None else obj)
 
@@ -88,19 +90,19 @@ def _emit(obj, as_json: bool, text_fallback=None):
 
 
 def cmd_compute(args) -> int:
-    p = solver.solve(args.m)
     if args.kappa is None:
+        p = solver.solve(args.m)
         obj = p.to_fixture_obj()
         obj["kappa"] = "symbolic"
-        _emit(obj, args.format == "json", text_fallback=str(p.polynomial))
+        _emit(obj, args.format == "json", text_fallback=p.polynomial)
         return EXIT_OK
-    poly = solver.specialize(p, args.kappa)
+    poly = solver.solve_at(args.m, args.kappa)
     obj = {
         "m": list(args.m),
         "kappa": str(args.kappa),
         "terms": poly.to_json_obj(),
     }
-    _emit(obj, args.format == "json", text_fallback=str(poly))
+    _emit(obj, args.format == "json", text_fallback=poly)
     return EXIT_OK
 
 

@@ -145,7 +145,7 @@ def target_coefficient(gf, m: int) -> ZPolynomial:
     if gf.row == 0 and m == 0:
         return ZPolynomial.constant(8 if gf.kappa == 0 else 1)
     quantum = (m, gf.row, 0, 0)
-    return solver.specialize(solver.solve(quantum), Fraction(gf.kappa))
+    return solver.solve_at(quantum, Fraction(gf.kappa))
 
 
 def series_check(label: str, order: int) -> list:

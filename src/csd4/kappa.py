@@ -83,22 +83,23 @@ def poly_scale(a: IntPoly, s: int) -> IntPoly:
     return tuple(c * s for c in a)
 
 
-def poly_eval(a: IntPoly, x: Fraction) -> Fraction:
-    """Exact Horner evaluation."""
-    acc = Fraction(0)
+def _homogeneous(a: IntPoly, p: int, q: int) -> int:
+    """sum a_i p^i q^(d-i), d = deg a: q^d a(p/q), by Horner on integers."""
+    acc, s = 0, 1
     for c in reversed(a):
-        acc = acc * x + c
+        acc = acc * p + c * s
+        s *= q
     return acc
+
+
+def poly_eval(a: IntPoly, x) -> Fraction:
+    """Exact value at a rational x, as :meth:`KappaRational.substitute`."""
+    return _make(a, 1, _NO_FACTORS).substitute(x)
 
 
 def poly_content(a: IntPoly) -> int:
     """gcd of the coefficients (0 for the zero polynomial)."""
-    g = 0
-    for c in a:
-        g = math.gcd(g, c)
-        if g == 1:
-            return 1
-    return g
+    return math.gcd(*a)
 
 
 def poly_primitive(a: IntPoly) -> IntPoly:
@@ -156,7 +157,8 @@ def _pseudo_rem(a: IntPoly, b: IntPoly) -> IntPoly:
 def poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
     """gcd in Z[k] (content included), positive leading coefficient."""
     if not a or not b:
-        return _abs_poly(a or b)
+        a = a or b
+        return poly_neg(a) if a and a[-1] < 0 else a
     c = math.gcd(poly_content(a), poly_content(b))
     if len(a) == 1 or len(b) == 1:
         return (c,)
@@ -170,10 +172,6 @@ def poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
         r = _pseudo_rem(pa, pb)
         pa, pb = pb, poly_primitive(r)
     return poly_scale(pa, c)
-
-
-def _abs_poly(a: IntPoly) -> IntPoly:
-    return poly_neg(a) if a and a[-1] < 0 else a
 
 
 def poly_to_str(a: IntPoly) -> str:
@@ -254,10 +252,8 @@ class KappaRational:
 
     @staticmethod
     def _coerce_poly(p) -> IntPoly:
-        if isinstance(p, tuple):
+        if isinstance(p, (tuple, list)):
             return poly_trim(p)
-        if isinstance(p, list):
-            return poly_trim(tuple(p))
         if isinstance(p, int):
             return (p,) if p else _ZERO
         raise TypeError(f"cannot build a coupling polynomial from {p!r}")
@@ -265,7 +261,7 @@ class KappaRational:
     @classmethod
     def from_fraction(cls, q: Fraction) -> "KappaRational":
         q = Fraction(q)
-        return cls(q.numerator, q.denominator)
+        return _make((q.numerator,) if q else _ZERO, q.denominator, _NO_FACTORS)
 
     @classmethod
     def parse(cls, num_str: str, den_str: str = "1") -> "KappaRational":
@@ -400,10 +396,13 @@ class KappaRational:
     def substitute(self, kappa0) -> Fraction:
         """Exact value at a rational coupling; raises :class:`PoleAtKappa`."""
         kappa0 = Fraction(kappa0)
-        den = poly_eval(self.den, kappa0)
-        if den == 0:
+        p, q = kappa0.numerator, kappa0.denominator
+        # num(p/q) / den(p/q) = q^(dd-dn) num~ / den~, num~ = q^dn num(p/q)
+        d = _homogeneous(self.den, p, q)
+        if d == 0:
             raise PoleAtKappa(kappa0)
-        return poly_eval(self.num, kappa0) / den
+        n, shift = _homogeneous(self.num, p, q), len(self.den) - len(self.num)
+        return Fraction(n * q**shift, d) if shift >= 0 else Fraction(n, d * q**-shift)
 
     # -- comparisons / hashing / display -------------------------------
 

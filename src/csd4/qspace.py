@@ -111,30 +111,37 @@ def hamiltonian_residual(m, kappa, q, h: float = 1e-4) -> ResidualResult:
     Both overall signs of the operator are tried, and the minimizing one is
     reported so the suite can assert a single consistent convention.
     """
-    if min_sine(q) <= 0.1:
-        raise NearSingularity(f"torus point {q} too close to a potential node")
+    return scan_residuals(m, kappa, [q], h)[0][0]
+
+
+def scan_residuals(m, kappa, points, h: float):
+    """:func:`hamiltonian_residual` at each point, the worst one, and the signs.
+
+    The polynomial is specialized once, before the first point.
+    """
+    for q in points:
+        if min_sine(q) <= 0.1:
+            raise NearSingularity(f"torus point {q} too close to a potential node")
     kappa = Fraction(kappa)
-    phi_poly = solver.specialize(solver.solve(tuple(m)), kappa)
+    phi_poly = solver.solve_at(tuple(m), kappa)
     eps = float(hamiltonian.eigenvalue(tuple(m)).substitute(kappa))
 
     def phi(qq):
         return phi_poly.eval_complex(characters_from_q(qq))
 
-    applied = apply_torus_operator(phi, q, float(kappa), h)
-    phi0 = phi(q)
-    scale = abs(eps * phi0) if eps else abs(phi0)
-    if scale == 0:
-        raise NearSingularity(f"eigenfunction vanishes at {q}")
-    res_minus = abs(-applied - eps * phi0) / scale
-    res_plus = abs(applied - eps * phi0) / scale
-    if res_minus <= res_plus:
-        return ResidualResult(res_minus, -1, res_minus, res_plus)
-    return ResidualResult(res_plus, +1, res_minus, res_plus)
-
-
-def scan_residuals(m, kappa, points, h: float):
-    """:func:`hamiltonian_residual` at each point, the worst one, and the signs."""
-    results = [hamiltonian_residual(m, kappa, q, h) for q in points]
+    results = []
+    for q in points:
+        applied = apply_torus_operator(phi, q, float(kappa), h)
+        phi0 = phi(q)
+        scale = abs(eps * phi0) if eps else abs(phi0)
+        if scale == 0:
+            raise NearSingularity(f"eigenfunction vanishes at {q}")
+        res_minus = abs(-applied - eps * phi0) / scale
+        res_plus = abs(applied - eps * phi0) / scale
+        if res_minus <= res_plus:
+            results.append(ResidualResult(res_minus, -1, res_minus, res_plus))
+        else:
+            results.append(ResidualResult(res_plus, +1, res_minus, res_plus))
     # A non-finite residual, NaN too, is the worst: it fails every tolerance.
     worst = max((r.residual for r in results), default=0.0,
                 key=lambda x: x if math.isfinite(x) else math.inf)
@@ -155,7 +162,7 @@ def special_kappa_identity(n: int, q) -> float:
     if n < 1:
         raise ValueError("n must be a positive integer")
     kappa0 = Fraction(-(n - 1), 2)
-    poly = solver.specialize(solver.solve((n, n, n, n)), kappa0)
+    poly = solver.solve_at((n, n, n, n), kappa0)
     lhs = poly.eval_complex(characters_from_q(q))
     rhs = (-1) ** n * 2 ** (12 * n) * sine_product(q) ** n
     if rhs == 0:

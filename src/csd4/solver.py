@@ -8,8 +8,11 @@ Opdam), so one pass over the cone in increasing height of mu solves it:
 each known term is pushed through :func:`csd4.hamiltonian.apply_to_monomial`
 and its off-diagonal image summed into the terms still to come.  A later
 coefficient is that sum over an eigenvalue difference, a nonzero
-polynomial in the coupling (so the symbolic solve never divides by zero;
-numeric resonances only appear on specialization).
+polynomial in the coupling (so the symbolic solve never divides by zero).
+
+The pass is written once over a pluggable scalar: :func:`solve` runs it on
+rational functions of the coupling, :func:`solve_at` on exact rationals at
+one coupling value.
 
 Triality permutes z1, z3, z4 and commutes with L, so a permutation sigma
 that fixes m fixes the monic eigenpolynomial too: c(sigma mu) = c(mu).  The
@@ -23,7 +26,8 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
-from operator import itemgetter
+from fractions import Fraction
+from operator import attrgetter, itemgetter, methodcaller
 from types import MappingProxyType
 
 from . import hamiltonian
@@ -123,31 +127,29 @@ class CSPolynomial:
 _CACHE: dict = {}
 
 
-def solve(m) -> CSPolynomial:
-    """Compute the eigenpolynomial for dominant quantum numbers m.
+def _walk(m, one, dot, lift, divide) -> tuple:
+    """The one pass over the cone of m, over a pluggable scalar.
 
     The cone is visited in its (height, mu) order.  A first pass maps each
     exponent to the first member of its orbit under the triality
     permutations that fix m; that member is the orbit minimum, and with a
     trivial stabilizer every exponent is its own.  At an orbit minimum z^e
-    the pairs (c, a) collected for it are summed once by
-    :func:`csd4.kappa.kappa_sum` and divided by eps(m) - eps(e), eps(e) read
-    off the diagonal of L z^e; a zero sum is a zero coefficient.
-    Coefficients with equal denominators share one expanded ``den``
-    (:func:`csd4.kappa.share_den`).  Then, for every distinct member
+    the pairs (c, a) collected for it are summed once by ``dot`` and, past
+    height 0 (where the coefficient is ``one``), ``divide`` takes the sum
+    over eps(m) - eps(e), eps(e) read off the diagonal of L z^e.  Every
+    minimum reaches ``divide``, whether or not pairs were pushed to it.  A
+    zero quotient is a zero coefficient.  Then, for every distinct member
     g = sigma e of the orbit, each off-diagonal term a*z^f of L z^e gives
-    the term a*z^(sigma f) of L z^g (a is an integer polynomial in the
-    coupling: the operator's coefficients are), and the pair (c, a) is
-    appended to ``pending`` when sigma f is an orbit minimum.  Any other
-    member of an orbit takes the minimum's coefficient object itself, at
-    its own place in cone order, with no evaluation of L.  Every term must
-    land on an exponent visited later: anything left in ``pending`` was
-    reached out of order or outside the cone, and raises
-    :class:`InternalInconsistency`.
+    the term a*z^(sigma f) of L z^g (a is an integer polynomial c0 + c1*k
+    in the coupling: the operator's coefficients are), and the pair
+    (c, lift(a)) is appended to ``pending`` when sigma f is an orbit
+    minimum.  Any other member of an orbit takes the minimum's coefficient
+    object itself, at its own place in cone order, with no evaluation of L.
+    Every term must land on an exponent visited later: anything left in
+    ``pending`` was reached out of order or outside the cone, and raises
+    :class:`InternalInconsistency`.  Returns the tables mu -> c and
+    exponent -> c of the nonzero coefficients, both in cone order.
     """
-    m = check_dominant(m)
-    if m in _CACHE:
-        return _CACHE[m]
     cone = support_cone(m)
     eps_m = hamiltonian.eigenvalue(m)
     # sigma e as a tuple lookup, one per permutation fixing m (identity first)
@@ -162,7 +164,6 @@ def solve(m) -> CSPolynomial:
                     minimum[g] = el.exponent
 
     pending: dict = {}  # orbit minimum -> the terms pushed onto it, summed at pop
-    dens: dict = {}  # the distinct denominators met so far, for share_den
     coeffs: dict = {}
     terms: dict = {}
     for el in cone.elements:
@@ -172,24 +173,22 @@ def solve(m) -> CSPolynomial:
             if c is not None:
                 coeffs[el.mu] = terms[e] = c
             continue
-        c = kappa_sum(pending.pop(e, ())) if el.height else KappaRational(1)
-        if not c:
-            continue  # the coefficient vanishes identically
         image = hamiltonian.apply_to_monomial(e).terms
+        c = one
         if el.height:
             denom = eps_m - image.get(e, 0)
             if not denom:
                 raise InternalInconsistency(
                     f"vanishing symbolic eigenvalue difference at mu={el.mu}"
                 )
-            c = c / denom
-        # Expand each distinct denominator here, once, not at a caller's
-        # first use.
-        coeffs[el.mu] = terms[e] = c = share_den(c, dens)
+            c = divide(dot(pending.pop(e, ())), denom, el.mu)
+            if not c:
+                continue  # the coefficient vanishes
+        coeffs[el.mu] = terms[e] = c
         # L z^(sigma e) = sigma(L z^e) for each distinct member sigma e.  A
         # term landing off an orbit minimum is dropped: its mirror image on
         # the minimum comes from another member.
-        pushes = [(f, a.num) for f, a in image.items() if f != e]
+        pushes = [(f, lift(a)) for f, a in image.items() if f != e]
         for move in {move(e): move for move in moves}.values():
             for f, a in pushes:
                 f = move(f)
@@ -199,11 +198,71 @@ def solve(m) -> CSPolynomial:
         raise InternalInconsistency(
             f"L reaches z^{min(pending)} out of the height order of the cone of {m}"
         )
+    return coeffs, terms
+
+
+def solve(m) -> CSPolynomial:
+    """Compute the eigenpolynomial for dominant quantum numbers m.
+
+    One :func:`_walk` with coefficients rational functions of the coupling:
+    the pairs are summed by :func:`csd4.kappa.kappa_sum`, and coefficients
+    with equal denominators share one expanded ``den``
+    (:func:`csd4.kappa.share_den`).  The result is cached, and its tables
+    are read-only.
+    """
+    m = check_dominant(m)
+    if m in _CACHE:
+        return _CACHE[m]
+    dens: dict = {}  # the distinct denominators met so far, for share_den
+
+    def divide(c, denom, mu):
+        # Expand each distinct denominator here, once, not at a caller's
+        # first use.
+        return share_den(c / denom, dens)
+
+    coeffs, terms = _walk(m, KappaRational(1), kappa_sum, attrgetter("num"), divide)
     # Every caller shares the cached result, so its tables are read-only.
     poly = ZPolynomial(MappingProxyType(terms), _raw=True)
-    result = CSPolynomial(m, eps_m, MappingProxyType(coeffs), poly)
+    result = CSPolynomial(m, hamiltonian.eigenvalue(m), MappingProxyType(coeffs), poly)
     _CACHE[m] = result
     return result
+
+
+def solve_at(m, kappa0) -> ZPolynomial:
+    """The eigenpolynomial for m at a rational coupling, as
+    ``specialize(solve(m), kappa0)`` returns it: the same constant
+    coefficients, in the same term order.
+
+    One :func:`_walk` over exact rationals at ``kappa0``.  Where no
+    eigenvalue difference on the cone vanishes at ``kappa0``, each step
+    evaluates the symbolic step's rational function there, so the values
+    agree; every denominator of the symbolic result is a product of those
+    differences, so a pole at ``kappa0`` always shows up as one vanishing.
+    If one does, the walk is abandoned for ``specialize(solve(m), kappa0)``,
+    which places any :class:`PoleAtKappa` and its mu exactly.  A solve
+    already cached is specialized directly.
+    """
+    m = check_dominant(m)
+    kappa0 = Fraction(kappa0)
+    if m in _CACHE:
+        return specialize(_CACHE[m], kappa0)
+
+    def dot(pairs):
+        return sum(c * a for c, a in pairs)
+
+    def divide(c, denom, mu):
+        # checked even for a zero sum: 0/0 is no value
+        d = denom.substitute(kappa0)
+        if not d:
+            raise PoleAtKappa(kappa0, mu=mu)
+        return c / d
+
+    try:
+        _, terms = _walk(m, Fraction(1), dot, methodcaller("substitute", kappa0), divide)
+    except PoleAtKappa:
+        return specialize(solve(m), kappa0)
+    return ZPolynomial({e: KappaRational.from_fraction(c) for e, c in terms.items()},
+                       _raw=True)
 
 
 def clear_cache() -> None:

@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, exit codes, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -35,6 +36,18 @@ def test_compute_specialized(capsys):
     obj = json.loads(out)
     terms = {tuple(t["exponents"]): t["num"] for t in obj["terms"]}
     assert terms == {(1, 1, 0, 0): "1", (0, 0, 1, 1): "-1"}
+
+
+@pytest.mark.parametrize("kappa, digest", [
+    ("symbolic", "72fd432558aef5efd86cd89e52909ec2552186f1d182378d7c318a2f970997e9"),
+    ("7/10", "724304dca43be5b01931743aefd2cbbfe03045b16e5c5d9bc5c8b11217aaffe3"),
+])
+def test_compute_stdout_bytes(capsys, kappa, digest):
+    # The exact text, as json.dumps(sort_keys=True, indent=2) renders it,
+    # whether it is written whole or streamed.
+    code, out = run(capsys, "compute", "--m", "2,1,0,1", "--kappa", kappa)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_compute_trivial(capsys):

@@ -159,6 +159,38 @@ def test_substitute_is_homomorphism(a, b, p, q):
         assert lhs == rhs
 
 
+def horner(a, x):
+    """Plain Fraction Horner, the reference for the integer evaluation."""
+    acc = Fraction(0)
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.lists(small_ints, max_size=5).map(tuple), nonzero_polys,
+       st.integers(-9, 9), st.integers(1, 6), st.booleans())
+def test_integer_substitution_matches_horner(num, den, p, q, root):
+    # k0 = p/q is negative, zero, an integer or not; with ``root`` the
+    # denominator carries q*k - p, so k0 is an exact root of it unless the
+    # numerator cancels it.
+    k0 = Fraction(p, q)
+    if root:
+        den = poly_mul(den, (-p, q))
+    for a in (num, den):
+        assert poly_eval(a, k0) == horner(a, k0)
+    r = KappaRational(num, den)
+    if horner(r.den, k0) == 0:
+        with pytest.raises(PoleAtKappa):
+            r.substitute(k0)
+        return
+    value = r.substitute(k0)
+    assert value == horner(r.num, k0) / horner(r.den, k0)
+    c = KappaRational.from_fraction(value)
+    twin = KappaRational(value.numerator, value.denominator)
+    assert (c.num, c.den, c._factors) == (twin.num, twin.den, twin._factors)
+
+
 @settings(max_examples=150, deadline=None)
 @given(polys, nonzero_polys, nonzero_polys)
 def test_canonical_form_unique(n, d, s):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from csd4 import qspace
+from csd4 import qspace, solver
 from csd4.errors import NearSingularity
 from csd4.qspace import generic_points
 
@@ -54,6 +54,20 @@ def test_residual_sign_consistency():
         for m, kappa in (((1, 0, 0, 0), Fraction(1)), ((0, 1, 0, 0), Fraction(13, 10))):
             signs.add(qspace.hamiltonian_residual(m, kappa, q).sign)
     assert signs == {-1}
+
+
+def test_scan_specializes_once(monkeypatch):
+    # One exact polynomial serves every point, with the same floats as one
+    # point at a time.
+    m, kappa, points = (1, 1, 0, 0), Fraction(7, 10), generic_points(5, 4)
+    single = [qspace.hamiltonian_residual(m, kappa, q) for q in points]
+    calls = []
+    real = solver.solve_at
+    monkeypatch.setattr(solver, "solve_at", lambda *a: calls.append(a) or real(*a))
+    results, worst, signs = qspace.scan_residuals(m, kappa, points, 1e-4)
+    assert calls == [(m, kappa)]
+    assert results == single
+    assert worst == max(r.residual for r in single) and signs == {-1}
 
 
 def test_near_singularity_rejected():

@@ -173,7 +173,16 @@ def test_cached_coefficients_are_read_only():
     assert solver.verify_eigen(again)
 
 
-def test_solve_runs_no_polynomial_gcd(monkeypatch):
+# The two scalars of the one walk: the symbolic solve, and the walk over
+# exact rationals at a coupling (here the generic 7/10).
+WALKS = {
+    "symbolic": lambda m: solver.solve(m).polynomial,
+    "field": lambda m: solver.solve_at(m, Fraction(7, 10)),
+}
+
+
+@pytest.mark.parametrize("walk", WALKS.values(), ids=WALKS.keys())
+def test_solve_runs_no_polynomial_gcd(monkeypatch, walk):
     # Every denominator of the recursion is a product of linear eigenvalue
     # differences, which the coupling arithmetic cancels without a gcd.
     def refuse(a, b):
@@ -182,20 +191,65 @@ def test_solve_runs_no_polynomial_gcd(monkeypatch):
     monkeypatch.setattr(kappa, "poly_gcd", refuse)
     solver.clear_cache()
     try:
-        p = solver.solve((2, 2, 2, 2))
+        p = walk((2, 2, 2, 2))
     finally:
         solver.clear_cache()
-    assert len(p.coefficients) == 89
+    assert len(p) == 89
+
+
+def outcome(compute):
+    """The terms in insertion order, or the (mu, kappa) of the pole."""
+    try:
+        return list(compute().terms.items())
+    except PoleAtKappa as exc:
+        return ("pole", exc.mu, exc.kappa)
+
+
+def test_solve_at_equals_specialize():
+    # Term for term and in the same order (eval_complex sums in that order),
+    # or the same pole.  At k = -1/2 the walk meets 0/0 on (0,0,1,2) and
+    # (0,0,2,2): a pair sum and an eigenvalue difference both vanish, and
+    # only the fallback gives the right value or pole.
+    couplings = [Fraction(k) for k in ("0", "1", "7/10", "-1/2", "-3/2")]
+    resonant = walked = 0
+    for m in itertools.product(range(5), repeat=4):
+        if sum(m) > 4:
+            continue
+        solver.clear_cache()
+        p = solver.solve(m)
+        for k0 in couplings:
+            want = outcome(lambda: solver.specialize(p, k0))
+            solver.clear_cache()
+            got = outcome(lambda: solver.solve_at(m, k0))
+            assert got == want, (m, k0)
+            if want[0] == "pole":
+                resonant += 1
+            else:
+                walked += 1
+    assert resonant > 0 and walked > 0
+
+
+def test_solve_at_specializes_a_cached_solve(monkeypatch):
+    p = solver.solve((2, 1, 0, 0))
+    monkeypatch.setattr(solver, "_walk", None)  # no walk may run
+    assert solver.solve_at((2, 1, 0, 0), 1) == solver.specialize(p, 1)
 
 
 def test_even_special_coupling_family_exact():
-    # P_{2j rho}((1-2j)/2) = P_{2 rho}(-1/2)^j, here j = 2 and 3: both sides
-    # are delta^(2j), delta the Weyl denominator.
-    base = solver.specialize(solver.solve((2, 2, 2, 2)), Fraction(-1, 2))
+    # P_{2j rho}((1-2j)/2) = P_{2 rho}(-1/2)^j: both sides are delta^(2j),
+    # delta the Weyl denominator.  For j = 4 the power is compared at exact
+    # rational points, not built as a polynomial.
+    solver.clear_cache()
+    base = solver.solve_at((2, 2, 2, 2), Fraction(-1, 2))
     for j, size in ((2, 793), (3, 3275)):
-        got = solver.specialize(solver.solve((2 * j,) * 4), Fraction(1 - 2 * j, 2))
+        got = solver.solve_at((2 * j,) * 4, Fraction(1 - 2 * j, 2))
         assert got == base**j, j
         assert len(got) == size
+    got = solver.solve_at((8, 8, 8, 8), Fraction(-7, 2))
+    assert len(got) == 9327
+    for z in ((Fraction(1, 3), Fraction(-2, 5), 2, Fraction(7, 4)),
+              (-3, Fraction(5, 6), Fraction(-1, 7), 1)):
+        assert got.eval_exact(z) == base.eval_exact(z) ** 4, z
 
 
 def test_equal_denominators_share_one_expansion():
@@ -265,9 +319,10 @@ def test_orbit_images_share_the_coefficient_object():
             assert coeffs[rs.apply_triality(mu, sigma)] is c, (sigma, mu)
 
 
+@pytest.mark.parametrize("walk", WALKS.values(), ids=WALKS.keys())
 @pytest.mark.parametrize("extra", [(2, 0, 0, 0), (0, 0, 0, 5)],
                          ids=["back-at-leading", "outside-cone"])
-def test_solve_rejects_a_term_out_of_order(monkeypatch, extra):
+def test_solve_rejects_a_term_out_of_order(monkeypatch, extra, walk):
     # A term that L sends back to an exponent already solved, or outside the
     # cone, is left over after the pass and must not be silently dropped.
     real = ham.apply_to_monomial
@@ -279,6 +334,6 @@ def test_solve_rejects_a_term_out_of_order(monkeypatch, extra):
     solver.clear_cache()
     try:
         with pytest.raises(InternalInconsistency):
-            solver.solve((2, 0, 0, 0))
+            walk((2, 0, 0, 0))
     finally:
         solver.clear_cache()
