@@ -12,41 +12,12 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-
-@dataclass(frozen=True)
-class Check:
-    """One verdict: a name, whether it held, and numbers worth reporting."""
-
-    name: str
-    ok: bool
-    detail: dict = field(default_factory=dict)
-
-    def to_json_obj(self) -> dict:
-        return {"name": self.name, "ok": self.ok, **self.detail}
-
-
-@dataclass
-class Report:
-    records: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return all(r.ok for r in self.records)
-
-    @property
-    def failures(self) -> list:
-        return [r for r in self.records if not r.ok]
-
-
-# recurrence builds its reports from the record types above, so the
-# modules under check are imported only once those exist.
-from . import fixtures, qspace, recurrence, rootsystem, solver  # noqa: E402
-from .errors import PoleAtKappa  # noqa: E402
-from .genfun import pde_residual, series_check  # noqa: E402
-from .zpoly import ZPolynomial  # noqa: E402
+from . import fixtures, qspace, recurrence, rootsystem, solver
+from .errors import Check, PoleAtKappa, Report
+from .genfun import pde_residual, series_check
+from .zpoly import ZPolynomial
 
 
 def golden(opts) -> list:

@@ -126,10 +126,6 @@ def cmd_genfun(args) -> int:
             rows.append({"coefficient": m, "ok": good})
             ok = ok and good
     elif args.check == "pde":
-        if args.label not in ("F0", "F1"):
-            print(f"pde check is defined for F0/F1 only, not {args.label}",
-                  file=sys.stderr)
-            return EXIT_USAGE
         residual = genfun.pde_residual(args.label, args.order)
         for m, coeff in enumerate(residual.coeffs):
             good = coeff.is_zero()
@@ -269,6 +265,8 @@ def main(argv=None) -> int:
     if step * step * tolerance <= sys.float_info.epsilon:
         ap.error(f"--step {step} is too small for --tolerance {tolerance}: the "
                  "rounding error eps/step^2 of the second difference exceeds it")
+    if getattr(args, "check", None) == "pde" and args.label not in ("F0", "F1"):
+        ap.error(f"the pde check is defined for F0/F1 only, not {args.label}")
     try:
         return args.func(args)
     except PoleAtKappa as exc:

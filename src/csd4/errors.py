@@ -1,6 +1,8 @@
-"""Exceptions shared across the package."""
+"""Exceptions and check records shared across the package."""
 
 from __future__ import annotations
+
+from dataclasses import dataclass, field
 
 
 class PoleAtKappa(ArithmeticError):
@@ -28,3 +30,28 @@ class ResidualNonzero(RuntimeError):
 
 class InternalInconsistency(RuntimeError):
     """An ordering invariant of the coefficient recursion was violated."""
+
+
+@dataclass(frozen=True)
+class Check:
+    """One verdict: a name, whether it held, and numbers worth reporting."""
+
+    name: str
+    ok: bool
+    detail: dict = field(default_factory=dict)
+
+    def to_json_obj(self) -> dict:
+        return {"name": self.name, "ok": self.ok, **self.detail}
+
+
+@dataclass
+class Report:
+    records: list = field(default_factory=list)
+
+    @property
+    def ok(self) -> bool:
+        return all(r.ok for r in self.records)
+
+    @property
+    def failures(self) -> list:
+        return [r for r in self.records if not r.ok]

@@ -35,16 +35,10 @@ DENOMINATOR = (
     ZPolynomial.constant(1),
 )
 
-_NUM_F0 = (
-    ZPolynomial.constant(8),
-    Z1 * (-7),
-    Z2 * 6,
-    _Z34_MINUS_Z1 * (-5),
-    _QUARTIC * 4,
-    _Z34_MINUS_Z1 * (-3),
-    Z2 * 2,
-    -Z1,
-)
+# F0 = sum_m tr(g^m) t^m over the 8-dimensional representation, which is
+# 8 - t D'(t)/D(t) for D(t) = det(1 - t g); so its numerator is
+# 8 D - t D' = sum_i (8 - i) D_i t^i, whose t^8 term vanishes.
+_NUM_F0 = tuple(d * (8 - i) for i, d in enumerate(DENOMINATOR[:8]))
 
 _NUM_F1 = (
     ZPolynomial.constant(1),

@@ -12,14 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .checks import Check, Report
-from .errors import ResidualNonzero
+from .errors import Check, Report, ResidualNonzero
 from .kappa import KappaRational, kappa_linear
 from .rootsystem import (
     TRIALITY_MAPS, WEYL_VECTOR_ROOT, apply_triality, weight_orbit, weight_to_root,
 )
 from .solver import CSPolynomial, solve
-from .zpoly import ZPolynomial
+from .zpoly import ZPolynomial, to_rows
 from . import hamiltonian
 
 # Quantum-number displacements: the weights of the multiplied representation,
@@ -48,11 +47,8 @@ class RecurrenceExpansion:
         return self.terms.get(tuple(mp), KappaRational(0))
 
     def to_json_obj(self) -> dict:
-        items = []
-        for mp in sorted(self.terms):
-            num, den = self.terms[mp].as_strings()
-            items.append({"mp": list(mp), "num": num, "den": den})
-        return {"v": self.variable, "m": list(self.m), "terms": items}
+        return {"v": self.variable, "m": list(self.m),
+                "terms": to_rows("mp", sorted(self.terms.items()))}
 
 
 def expand_product(v: int, m) -> RecurrenceExpansion:
@@ -201,11 +197,6 @@ def _cf_k(m):
     )
 
 
-def _cf_p(m):
-    return _ratio([kappa_linear(m, 0), kappa_linear(m - 1, 2)],
-                  [kappa_linear(m - 1, 1), kappa_linear(m, 1)])
-
-
 def _cf_q(m):
     return _ratio(
         [
@@ -268,6 +259,7 @@ def _cf_s(m):
     )
 
 
+# The families p and g are the closed forms c and e.
 _CLOSED_FORMS = {
     "a": _cf_a,
     "b": _cf_b,
@@ -278,7 +270,7 @@ _CLOSED_FORMS = {
     "g": _cf_e,
     "h": _cf_h,
     "k": _cf_k,
-    "p": _cf_p,
+    "p": _cf_c,
     "q": _cf_q,
     "r": _cf_r,
     "s": _cf_s,

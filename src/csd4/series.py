@@ -21,27 +21,8 @@ class TauSeries:
         self.order = order
         self.coeffs = coeffs
 
-    @classmethod
-    def zero(cls, order: int) -> "TauSeries":
-        return cls([], order)
-
     def _common_order(self, other) -> int:
         return min(self.order, other.order)
-
-    def __add__(self, other):
-        n = self._common_order(other)
-        return TauSeries(
-            [self.coeffs[k] + other.coeffs[k] for k in range(n + 1)], n
-        )
-
-    def __sub__(self, other):
-        n = self._common_order(other)
-        return TauSeries(
-            [self.coeffs[k] - other.coeffs[k] for k in range(n + 1)], n
-        )
-
-    def __neg__(self):
-        return TauSeries([-c for c in self.coeffs], self.order)
 
     def __mul__(self, other):
         if isinstance(other, TauSeries):
@@ -85,6 +66,3 @@ class TauSeries:
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coeffs)
-
-    def __str__(self):
-        return " + ".join(f"[{c}]*t^{k}" for k, c in enumerate(self.coeffs))

@@ -41,7 +41,7 @@ from .rootsystem import (
     root_to_weight,
     weight_to_root,
 )
-from .zpoly import ZPolynomial
+from .zpoly import ZPolynomial, from_rows, to_rows
 
 
 @dataclass(frozen=True)
@@ -101,11 +101,9 @@ class CSPolynomial:
 
     def to_fixture_obj(self) -> dict:
         num, den = self.eigenvalue.as_strings()
-        coeffs = []
-        for mu in sorted(self.coefficients, key=lambda r: (height(r), r)):
-            cn, cd = self.coefficients[mu].as_strings()
-            coeffs.append({"mu": list(mu), "num": cn, "den": cd})
-        return {"m": list(self.m), "epsilon": {"num": num, "den": den}, "coeffs": coeffs}
+        order = sorted(self.coefficients.items(), key=lambda t: (height(t[0]), t[0]))
+        return {"m": list(self.m), "epsilon": {"num": num, "den": den},
+                "coeffs": to_rows("mu", order)}
 
     @classmethod
     def from_fixture_obj(cls, obj) -> "CSPolynomial":
@@ -113,9 +111,7 @@ class CSPolynomial:
         eps = KappaRational.parse(obj["epsilon"]["num"], obj["epsilon"]["den"])
         coefficients = {}
         terms = {}
-        for item in obj["coeffs"]:
-            mu = tuple(item["mu"])
-            c = KappaRational.parse(item["num"], item["den"])
+        for mu, c in from_rows("mu", obj["coeffs"]):
             if not c:
                 continue
             coefficients[mu] = c

@@ -8,6 +8,7 @@ stored; consumers impose their own.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 from .errors import PoleAtKappa
 from .kappa import KappaRational
@@ -15,6 +16,22 @@ from .kappa import KappaRational
 Exponents = tuple  # tuple[int, int, int, int]
 
 _E0: Exponents = (0, 0, 0, 0)
+
+
+def to_rows(key: str, items) -> list:
+    """The JSON rows ``{key: [4 ints], "num", "den"}`` of (vector, coefficient)
+    pairs, in their order: every coefficient table is written this way."""
+    rows = []
+    for vector, coeff in items:
+        num, den = coeff.as_strings()
+        rows.append({key: list(vector), "num": num, "den": den})
+    return rows
+
+
+def from_rows(key: str, rows):
+    """Yield (vector, KappaRational) per row; ``num`` and ``den`` are required."""
+    for row in rows:
+        yield tuple(row[key]), KappaRational.parse(row["num"], row["den"])
 
 
 class ZPolynomial:
@@ -179,12 +196,12 @@ class ZPolynomial:
 
     def eval_exact(self, z) -> Fraction:
         """Exact rational value at a rational point (constant coefficients)."""
-        z = [Fraction(v) for v in z]
+        powers = [cache(Fraction(v).__pow__) for v in z]  # each v**e once
         total = Fraction(0)
         for exps, coeff in self.terms.items():
             term = coeff.as_fraction()
-            for v, e in zip(z, exps):
-                term *= v**e
+            for power, e in zip(powers, exps):
+                term *= power(e)
             total += term
         return total
 
@@ -242,20 +259,11 @@ class ZPolynomial:
     # -- serialization -------------------------------------------------------
 
     def to_json_obj(self) -> list:
-        out = []
-        for exps in sorted(self.terms):
-            num, den = self.terms[exps].as_strings()
-            out.append({"exponents": list(exps), "num": num, "den": den})
-        return out
+        return to_rows("exponents", sorted(self.terms.items()))
 
     @classmethod
     def from_json_obj(cls, obj) -> "ZPolynomial":
-        terms = {}
-        for item in obj:
-            coeff = KappaRational.parse(item["num"], item.get("den", "1"))
-            if coeff:
-                terms[tuple(item["exponents"])] = coeff
-        return cls(terms, _raw=True)
+        return cls({e: c for e, c in from_rows("exponents", obj) if c}, _raw=True)
 
 
 Z1 = ZPolynomial.variable(1)

@@ -38,14 +38,27 @@ def test_compute_specialized(capsys):
     assert terms == {(1, 1, 0, 0): "1", (0, 0, 1, 1): "-1"}
 
 
-@pytest.mark.parametrize("kappa, digest", [
-    ("symbolic", "72fd432558aef5efd86cd89e52909ec2552186f1d182378d7c318a2f970997e9"),
-    ("7/10", "724304dca43be5b01931743aefd2cbbfe03045b16e5c5d9bc5c8b11217aaffe3"),
-])
-def test_compute_stdout_bytes(capsys, kappa, digest):
+# Each run is named by what follows "--kappa" in the compute command below,
+# or by its whole command line.
+_COMPUTE = "compute --m 2,1,0,1 --kappa "
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (_COMPUTE + "symbolic",
+     "72fd432558aef5efd86cd89e52909ec2552186f1d182378d7c318a2f970997e9"),
+    (_COMPUTE + "7/10",
+     "724304dca43be5b01931743aefd2cbbfe03045b16e5c5d9bc5c8b11217aaffe3"),
+    (_COMPUTE + "symbolic --format text",
+     "88b690c7589b3361eaff16c1978d078d4a6a7e2f77c875f05d4b0676219aa534"),
+    (_COMPUTE + "7/10 --format text",
+     "503776eaf2033b30bb99088d036f4ee6e2e26c38d2d1a478c3e45284fc27a402"),
+    ("dims --m 2,1,0,1 --format text",
+     "58bdc6c4a0bea735ff8ad568e11f15d2b2b3e6231aeb83573822986df99f4966"),
+], ids=lambda v: v.removeprefix(_COMPUTE) if " " in v else None)
+def test_compute_stdout_bytes(capsys, argv, digest):
     # The exact text, as json.dumps(sort_keys=True, indent=2) renders it,
-    # whether it is written whole or streamed.
-    code, out = run(capsys, "compute", "--m", "2,1,0,1", "--kappa", kappa)
+    # whether it is written whole or streamed, or as --format text prints it.
+    code, out = run(capsys, *argv.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -160,7 +173,9 @@ def test_verify_all_record_set(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["compute", "--m", "1,2"],
+    ["compute", "--m", "1,x,0,0"],
     ["genfun", "--label", "F0", "--order", "-1"],
+    ["genfun", "--label", "G0", "--check", "pde"],
     ["verify", "--suite", "recur", "--max-m", "0"],
     ["verify", "--suite", "genfun", "--order", "-3"],
     ["verify", "--suite", "qcheck", "--step", "0"],
@@ -192,7 +207,8 @@ def test_verify_all_record_set(capsys):
     ["verify", "--suite", "qcheck", "--step", "1e-15"],
     ["qcheck", "--m", "1,0,0,0", "--step", "1e-6", "--tolerance", "1e-6"],
 ], ids=[
-    "compute-short-m", "genfun-order", "verify-max-m", "verify-order",
+    "compute-short-m", "compute-non-integer-m", "genfun-order", "genfun-pde-label",
+    "verify-max-m", "verify-order",
     "verify-step", "qcheck-step", "qcheck-kappa-pole", "qcheck-kappa-symbolic",
     "qcheck-samples", "qcheck-tolerance-negative", "qcheck-tolerance-zero",
     "qcheck-tolerance-nan", "qcheck-tolerance-inf", "verify-tolerance-negative",

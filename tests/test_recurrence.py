@@ -116,6 +116,16 @@ def test_verify_closed_forms_small():
     assert len(report.records) > 50
 
 
+def test_verify_closed_forms_reports_a_wrong_form(monkeypatch):
+    # "p" is stated as the closed form "c"; put "b" in its place and only
+    # the one slot "p" predicts fails, naming both values.
+    monkeypatch.setitem(rec._CLOSED_FORMS, "p", rec._cf_b)
+    report = rec.verify_closed_forms(1)
+    assert [r.name for r in report.failures] == ["z2*P[0m00] m=1 slot=[1, 0, 1, 1]"]
+    detail = report.failures[0].detail
+    assert detail == {"expected": str(rec._cf_b(1)), "actual": str(rec._cf_c(1))}
+
+
 def test_triality_identities():
     for sigma in rs.TRIALITY_MAPS[1:]:
         for v, m in ((1, (2, 1, 1, 0)), (2, (1, 1, 0, 2)), (3, (0, 1, 2, 1))):

@@ -1,4 +1,5 @@
-"""The runtime imports nothing outside the standard library and csd4."""
+"""The runtime imports nothing outside the standard library and csd4, and
+csd4's modules import one another without a cycle."""
 
 import ast
 import sys
@@ -24,3 +25,36 @@ def test_runtime_imports_only_the_standard_library():
                 if top != "csd4" and top not in sys.stdlib_module_names:
                     outside.append((path.name, name))
     assert not outside
+
+
+def _relative_imports(path):
+    """The csd4 modules a module imports at its top level."""
+    out = set()
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                out.add(node.module.partition(".")[0])
+            else:  # from . import a, b
+                out.update(alias.name for alias in node.names)
+    return out
+
+
+def test_package_import_graph_is_acyclic():
+    graph = {path.stem: _relative_imports(path) for path in SRC.glob("*.py")}
+    assert graph["checks"] and graph["solver"]
+    cycles = []
+    done = set()
+
+    def visit(node, path):
+        if node in path:
+            cycles.append(" -> ".join(path[path.index(node):] + [node]))
+            return
+        if node in done:
+            return
+        for target in sorted(graph.get(node, ())):
+            visit(target, path + [node])
+        done.add(node)
+
+    for node in sorted(graph):
+        visit(node, [])
+    assert not cycles

@@ -81,6 +81,9 @@ def test_json_roundtrip():
     obj = p.to_json_obj()
     assert obj == sorted(obj, key=lambda t: t["exponents"])
     assert ZPolynomial.from_json_obj(obj) == p
+    # every row carries its den, even when it is 1
+    with pytest.raises(KeyError):
+        ZPolynomial.from_json_obj([{"exponents": [1, 0, 0, 0], "num": "2"}])
 
 
 small_ints = st.integers(min_value=-6, max_value=6)
