@@ -76,13 +76,19 @@ def _bounded(convert, low=None, strict=False):
 _STEP = _bounded(float, sys.float_info.epsilon, strict=True)
 
 
-def _emit(obj, as_json: bool, text_fallback=None):
-    if as_json:
+def _emit(obj, text=None) -> int:
+    """Print ``obj`` as JSON, or ``text`` in its place (``--format text``).
+
+    The one verdict-to-exit-code rule: exit 1 exactly when ``obj`` says
+    ``"ok": false``.
+    """
+    if text is None:
         # Streamed: the indented text of a large solve is never held whole.
         json.dump(obj, sys.stdout, sort_keys=True, indent=2, allow_nan=False)
         sys.stdout.write("\n")
     else:
-        print(text_fallback if text_fallback is not None else obj)
+        print(text)
+    return EXIT_VERIFY_FAILED if obj.get("ok") is False else EXIT_OK
 
 
 # ----------------------------------------------------------------------
@@ -94,53 +100,41 @@ def cmd_compute(args) -> int:
         p = solver.solve(args.m)
         obj = p.to_fixture_obj()
         obj["kappa"] = "symbolic"
-        _emit(obj, args.format == "json", text_fallback=p.polynomial)
-        return EXIT_OK
+        return _emit(obj, p.polynomial if args.format == "text" else None)
     poly = solver.solve_at(args.m, args.kappa)
     obj = {
         "m": list(args.m),
         "kappa": str(args.kappa),
         "terms": poly.to_json_obj(),
     }
-    _emit(obj, args.format == "json", text_fallback=poly)
-    return EXIT_OK
+    return _emit(obj, poly if args.format == "text" else None)
 
 
 def cmd_dims(args) -> int:
     dim = rootsystem.weyl_dimension(args.m)
-    _emit({"m": list(args.m), "dim": dim}, args.format == "json", text_fallback=dim)
-    return EXIT_OK
+    obj = {"m": list(args.m), "dim": dim}
+    return _emit(obj, dim if args.format == "text" else None)
 
 
 def cmd_recur(args) -> int:
-    expansion = recurrence.expand_product(args.v, args.m)
-    _emit(expansion.to_json_obj(), True)
-    return EXIT_OK
+    return _emit(recurrence.expand_product(args.v, args.m).to_json_obj())
 
 
 def cmd_genfun(args) -> int:
-    rows = []
-    ok = True
-    if args.check == "series":
-        for m, good in genfun.series_check(args.label, args.order):
-            rows.append({"coefficient": m, "ok": good})
-            ok = ok and good
-    elif args.check == "pde":
-        residual = genfun.pde_residual(args.label, args.order)
-        for m, coeff in enumerate(residual.coeffs):
-            good = coeff.is_zero()
-            rows.append({"coefficient": m, "ok": good})
-            ok = ok and good
-    else:
-        series = genfun.expand(args.label, args.order)
-        for m, coeff in enumerate(series.coeffs):
-            rows.append({"coefficient": m, "terms": coeff.to_json_obj()})
     obj = {"label": args.label, "order": args.order, "mode": args.check or "expand"}
-    obj["coefficients" if args.check is None else "checks"] = rows
-    if args.check is not None:
-        obj["ok"] = ok
-    _emit(obj, True)
-    return EXIT_OK if ok else EXIT_VERIFY_FAILED
+    if args.check is None:
+        series = genfun.expand(args.label, args.order)
+        obj["coefficients"] = [{"coefficient": m, "terms": coeff.to_json_obj()}
+                               for m, coeff in enumerate(series.coeffs)]
+        return _emit(obj)
+    if args.check == "series":
+        verdicts = genfun.series_check(args.label, args.order)
+    else:
+        residual = genfun.pde_residual(args.label, args.order)
+        verdicts = [(m, coeff.is_zero()) for m, coeff in enumerate(residual.coeffs)]
+    obj["checks"] = [{"coefficient": m, "ok": ok} for m, ok in verdicts]
+    obj["ok"] = all(row["ok"] for row in obj["checks"])
+    return _emit(obj)
 
 
 def cmd_qcheck(args) -> int:
@@ -150,8 +144,7 @@ def cmd_qcheck(args) -> int:
         raise OverflowError("non-finite torus residual")
     rows = [{"q": list(q), "residual": r.residual, "sign": r.sign}
             for q, r in zip(points, results)]
-    ok = worst < args.tolerance and len(signs) == 1
-    obj = {
+    return _emit({
         "m": list(args.m),
         "kappa": str(args.kappa),
         "step": args.step,
@@ -159,24 +152,20 @@ def cmd_qcheck(args) -> int:
         "points": rows,
         "max_residual": worst,
         "consistent_sign": len(signs) == 1,
-        "ok": ok,
-    }
-    _emit(obj, True)
-    return EXIT_OK if ok else EXIT_VERIFY_FAILED
+        "ok": worst < args.tolerance and len(signs) == 1,
+    })
 
 
 def cmd_verify(args) -> int:
     names = checks.SUITES if args.suite == "all" else (args.suite,)
     report = checks.Report([c for name in names for c in checks.SUITES[name](args)])
-    obj = {
+    return _emit({
         "suite": args.suite,
         "checks": [c.to_json_obj() for c in report.records],
         "passed": sum(c.ok for c in report.records),
         "total": len(report.records),
         "ok": report.ok,
-    }
-    _emit(obj, True)
-    return EXIT_OK if report.ok else EXIT_VERIFY_FAILED
+    })
 
 
 def build_parser() -> argparse.ArgumentParser:

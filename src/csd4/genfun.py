@@ -125,11 +125,7 @@ def expand(gf, order: int) -> TauSeries:
     """Truncated series of the rational function up to t^order."""
     if isinstance(gf, str):
         gf = build(gf)
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    num = TauSeries(list(gf.numerator), order)
-    den = TauSeries(list(gf.denominator), order)
-    return num / den
+    return TauSeries(gf.numerator, order) / TauSeries(gf.denominator, order)
 
 
 def target_coefficient(gf, m: int) -> ZPolynomial:

@@ -413,7 +413,7 @@ class KappaRational:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        return hash(self.as_fraction() if self.is_constant() else (self.num, self.den))
 
     def __bool__(self):
         return bool(self.num)

@@ -93,15 +93,12 @@ def inner(u: Weight, v: Weight) -> Fraction:
     return total
 
 
-def is_dominant(m: Weight) -> bool:
-    return all(c >= 0 for c in m)
-
-
 def check_dominant(m: Weight) -> Weight:
     m = tuple(m)
-    if len(m) != 4 or not all(isinstance(c, int) for c in m):
+    # type, not isinstance: a bool weight would hash equal to its int in caches
+    if len(m) != 4 or not all(type(c) is int for c in m):
         raise ValueError(f"bad weight {m}")
-    if not is_dominant(m):
+    if not all(c >= 0 for c in m):
         raise ValueError(f"weight {m} is not dominant")
     return m
 

@@ -10,10 +10,8 @@ class TauSeries:
 
     __slots__ = ("order", "coeffs")
 
-    def __init__(self, coeffs, order=None):
+    def __init__(self, coeffs, order):
         coeffs = list(coeffs)
-        if order is None:
-            order = len(coeffs) - 1
         if order < 0:
             raise ValueError("order must be nonnegative")
         coeffs = coeffs[: order + 1]

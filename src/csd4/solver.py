@@ -177,7 +177,7 @@ def _walk(m, one, dot, lift, divide) -> tuple:
                 raise InternalInconsistency(
                     f"vanishing symbolic eigenvalue difference at mu={el.mu}"
                 )
-            c = divide(dot(pending.pop(e, ())), denom, el.mu)
+            c = divide(dot(pending.pop(e, ())), denom)
             if not c:
                 continue  # the coefficient vanishes
         coeffs[el.mu] = terms[e] = c
@@ -211,7 +211,7 @@ def solve(m) -> CSPolynomial:
         return _CACHE[m]
     dens: dict = {}  # the distinct denominators met so far, for share_den
 
-    def divide(c, denom, mu):
+    def divide(c, denom):
         # Expand each distinct denominator here, once, not at a caller's
         # first use.
         return share_den(c / denom, dens)
@@ -246,11 +246,11 @@ def solve_at(m, kappa0) -> ZPolynomial:
     def dot(pairs):
         return sum(c * a for c, a in pairs)
 
-    def divide(c, denom, mu):
+    def divide(c, denom):
         # checked even for a zero sum: 0/0 is no value
         d = denom.substitute(kappa0)
         if not d:
-            raise PoleAtKappa(kappa0, mu=mu)
+            raise PoleAtKappa(kappa0)
         return c / d
 
     try:

@@ -20,10 +20,17 @@ _E0: Exponents = (0, 0, 0, 0)
 
 def to_rows(key: str, items) -> list:
     """The JSON rows ``{key: [4 ints], "num", "den"}`` of (vector, coefficient)
-    pairs, in their order: every coefficient table is written this way."""
+    pairs, in their order: every coefficient table is written this way.
+
+    A coefficient object shared by several rows (the triality images of a
+    solve) is rendered once; ``seen`` holds each object, so its id stays
+    unique for the call."""
+    seen: dict = {}
     rows = []
     for vector, coeff in items:
-        num, den = coeff.as_strings()
+        if id(coeff) not in seen:
+            seen[id(coeff)] = coeff, coeff.as_strings()
+        num, den = seen[id(coeff)][1]
         rows.append({key: list(vector), "num": num, "den": den})
     return rows
 

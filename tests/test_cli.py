@@ -2,12 +2,15 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import csd4
+from csd4 import genfun
 from csd4.cli import main
 
 
@@ -98,6 +101,14 @@ def test_genfun_checks(capsys):
     assert code == 0 and json.loads(out)["ok"]
     code, out = run(capsys, "genfun", "--label", "F0", "--order", "4", "--check", "pde")
     assert code == 0 and json.loads(out)["ok"]
+
+
+def test_genfun_failed_check_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(genfun, "series_check", lambda label, order: [(0, True), (1, False)])
+    code, out = run(capsys, "genfun", "--label", "F0", "--order", "1", "--check", "series")
+    obj = json.loads(out)
+    assert code == 1 and obj["ok"] is False
+    assert obj["checks"] == [{"coefficient": 0, "ok": True}, {"coefficient": 1, "ok": False}]
 
 
 def test_qcheck(capsys):
@@ -249,10 +260,15 @@ def test_negative_coupling_with_space(argv, capsys):
 
 
 def test_console_script_entry_point():
+    # The package need not be installed: the child finds it where this one did.
+    src = str(Path(csd4.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     result = subprocess.run(
         [sys.executable, "-m", "csd4.cli", "dims", "--m", "1,0,0,0"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["dim"] == 8

@@ -43,6 +43,8 @@ def test_expand_low_orders():
     s = genfun.expand("G1", 1)
     assert s.coeffs[0] == Z2
     assert s.coeffs[1] == Z1 * Z2 - Z3 * Z4
+    with pytest.raises(ValueError):
+        genfun.expand("F0", -1)
 
 
 def test_series_match_solver():

@@ -50,6 +50,19 @@ def test_sign_normalization():
     assert r == KappaRational((-1,), (1, 1))
 
 
+@pytest.mark.parametrize("value", [0, 3, -2, Fraction(1, 2), Fraction(-7, 3)],
+                         ids=str)
+def test_constant_hashes_like_the_number_it_equals(value):
+    r = KappaRational.from_fraction(value)
+    assert r == value and hash(r) == hash(value)
+    assert r in {value} and value in {r}
+
+
+def test_equal_rationals_hash_equal():
+    r = KappaRational((-1, 0, 1), (1, 1))  # (k^2 - 1)/(k + 1)
+    assert r == KappaRational((-1, 1)) and hash(r) == hash(KappaRational((-1, 1)))
+
+
 def test_substitute_values():
     r = KappaRational((-4, 4), (1, 5))  # 4(k-1)/(5k+1)
     assert r.substitute(1) == 0
@@ -212,6 +225,28 @@ def test_gcd_divides_and_scales(a, b, g):
     # d is a common divisor
     poly_div_exact(poly_mul(a, g), d)
     poly_div_exact(poly_mul(b, g), d)
+
+
+@pytest.mark.parametrize("a, b", [
+    ((1,), (0, 1)),  # 1 / k: the divisor has the higher degree
+    ((0, 1), (1, 2)),  # k / (2k + 1): the leading coefficient does not divide
+    ((1, 1), (0, 1)),  # (k + 1) / k: a remainder is left
+], ids=["degree", "leading", "remainder"])
+def test_poly_div_exact_rejects_inexact(a, b):
+    with pytest.raises(ArithmeticError, match="inexact"):
+        poly_div_exact(a, b)
+
+
+def test_poly_div_exact_zero_operands():
+    with pytest.raises(ZeroDivisionError):
+        poly_div_exact((1, 1), ())
+    assert poly_div_exact((), (1, 1)) == ()
+
+
+def test_poly_gcd_with_zero():
+    assert poly_gcd((), ()) == ()
+    assert poly_gcd((), (-2, -4)) == (2, 4)
+    assert poly_gcd((0, 3), ()) == (0, 3)
 
 
 # Primitive linear factors a + b*k (b > 0), the shape of every eigenvalue

@@ -35,6 +35,13 @@ def test_telescoping_division():
     assert num / den == TauSeries([ONE, ONE, ZPolynomial.zero()], 2)
 
 
+def test_order_is_required():
+    with pytest.raises(TypeError):
+        TauSeries([ONE])
+    with pytest.raises(ValueError):
+        TauSeries([ONE], -1)
+
+
 def test_division_requires_invertible_lead():
     with pytest.raises(ZeroDivisionError):
         TauSeries([ONE], 2) / TauSeries([Z1, ONE], 2)

@@ -36,6 +36,19 @@ def test_support_cone_rejects_non_dominant():
         solver.solve((-1, 0, 0, 0))
 
 
+def test_solve_rejects_a_bool_weight():
+    # True == 1 and hash(True) == hash(1): accepted, it would be cached under
+    # the key of (1,0,0,0) and written back as JSON true.
+    solver.clear_cache()
+    try:
+        with pytest.raises(ValueError):
+            solver.solve((True, 0, 0, 0))
+        m = solver.solve((1, 0, 0, 0)).to_fixture_obj()["m"]
+        assert json.dumps(m) == "[1, 0, 0, 0]"
+    finally:
+        solver.clear_cache()
+
+
 def test_support_cone_complete_against_brute_force():
     # oracle: scan the whole box allowed by the Weyl-vector pairing bound
     for m in [(2, 0, 0, 0), (1, 1, 0, 0), (0, 2, 0, 0), (1, 0, 1, 1), (3, 0, 0, 0)]:
@@ -317,6 +330,33 @@ def test_orbit_images_share_the_coefficient_object():
         assert rs.apply_triality(m, sigma) == m
         for mu, c in coeffs.items():
             assert coeffs[rs.apply_triality(mu, sigma)] is c, (sigma, mu)
+
+
+def test_shared_coefficients_render_once(monkeypatch):
+    # The JSON rows render each distinct coefficient object once, and the
+    # rows of its orbit images share the strings.
+    m = (4, 4, 4, 4)
+    solver.clear_cache()
+    try:
+        p = solver.solve(m)
+    finally:
+        solver.clear_cache()
+    calls = []
+    as_strings = KappaRational.as_strings
+
+    def counted(self):
+        calls.append(self)
+        return as_strings(self)
+
+    monkeypatch.setattr(KappaRational, "as_strings", counted)
+    rows = {tuple(row["mu"]): row for row in p.to_fixture_obj()["coeffs"]}
+    distinct = {id(c) for c in p.coefficients.values()}
+    assert len(distinct) == 239
+    assert len(calls) == len(distinct) + 1  # and the eigenvalue
+    for sigma in rs.TRIALITY_MAPS:
+        for mu, row in rows.items():
+            image = rows[rs.apply_triality(mu, sigma)]
+            assert image["num"] is row["num"] and image["den"] is row["den"]
 
 
 @pytest.mark.parametrize("walk", WALKS.values(), ids=WALKS.keys())
