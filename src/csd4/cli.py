@@ -98,16 +98,14 @@ def _emit(obj, text=None) -> int:
 def cmd_compute(args) -> int:
     if args.kappa is None:
         p = solver.solve(args.m)
-        obj = p.to_fixture_obj()
-        obj["kappa"] = "symbolic"
-        return _emit(obj, p.polynomial if args.format == "text" else None)
+        if args.format == "text":
+            return _emit({}, p.polynomial)
+        return _emit({**p.to_fixture_obj(), "kappa": "symbolic"})
     poly = solver.solve_at(args.m, args.kappa)
-    obj = {
-        "m": list(args.m),
-        "kappa": str(args.kappa),
-        "terms": poly.to_json_obj(),
-    }
-    return _emit(obj, poly if args.format == "text" else None)
+    if args.format == "text":
+        return _emit({}, poly)
+    return _emit({"m": list(args.m), "kappa": str(args.kappa),
+                  "terms": poly.to_json_obj()})
 
 
 def cmd_dims(args) -> int:

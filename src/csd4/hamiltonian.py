@@ -10,14 +10,18 @@ Two algorithms run over that table: generic differentiation (:func:`apply`),
 and the action on one monomial (:func:`apply_to_monomial`), which evaluates
 the table's terms grouped at import by the shift they apply; the s = 0 group
 is the eigenvalue.  The second is the solver's one evaluator of L; tests
-check it against the first.
+check it against the first, which stays the independent reference.
+:func:`apply` collects the products of the table's coefficients with the
+derivatives of p under their output monomial and sums each monomial once,
+with :func:`~csd4.kappa.kappa_sum`; :func:`csd4.solver.verify_eigen` adds
+-eps P to the same pairs and tests that every sum, so (L - eps) P, is zero.
 The table itself is checked independently, by the finite-difference operator
 on the torus (:mod:`csd4.qspace`) and against the energy's quadratic form.
 """
 
 from __future__ import annotations
 
-from .kappa import KappaRational, kappa_linear
+from .kappa import KappaRational, kappa_linear, kappa_sum
 from .rootsystem import check_dominant, weight_to_root
 from .zpoly import ZPolynomial
 
@@ -48,18 +52,32 @@ _FIRST = {
 }
 
 
-def apply(p: ZPolynomial) -> ZPolynomial:
-    """L applied by generic differentiation, exactly."""
-    out = ZPolynomial.zero()
+def _apply_pairs(p: ZPolynomial) -> dict:
+    """Each output exponent of :func:`apply` with its :func:`~csd4.kappa.kappa_sum`
+    pairs (c, a): c a coefficient of a derivative of p, a the integer c0 + c1*k
+    of a term of the table (:func:`_derive` rejects any other entry)."""
     firsts = {j: p.derivative(j) for j in range(1, 5)}
-    for (j, k), coeff in _SECOND.items():
-        d2 = firsts[j].derivative(k)
-        if d2:
-            out = out + coeff * d2
-    for j, coeff in _FIRST.items():
-        if firsts[j]:
-            out = out + coeff * firsts[j]
-    return out
+    products = [(coeff, firsts[j].derivative(k)) for (j, k), coeff in _SECOND.items()]
+    products += [(coeff, firsts[j]) for j, coeff in _FIRST.items()]
+    pairs: dict = {}
+    for coeff, d in products:
+        for a, ca in coeff.terms.items():
+            num = ca.num
+            for e, c in d.terms.items():
+                f = (e[0] + a[0], e[1] + a[1], e[2] + a[2], e[3] + a[3])
+                pairs.setdefault(f, []).append((c, num))
+    return pairs
+
+
+def apply(p: ZPolynomial) -> ZPolynomial:
+    """L applied by generic differentiation, exactly: each output
+    coefficient is one :func:`~csd4.kappa.kappa_sum` of its pairs."""
+    out = {}
+    for f, pairs in _apply_pairs(p).items():
+        c = kappa_sum(pairs)
+        if c:
+            out[f] = c
+    return ZPolynomial(out, _raw=True)
 
 
 def _group_value(terms, e) -> KappaRational:

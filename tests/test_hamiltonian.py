@@ -4,7 +4,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from csd4 import hamiltonian as ham
@@ -76,6 +76,43 @@ zpolys = st.dictionaries(exponents, coeffs, max_size=4).map(ZPolynomial)
 @given(zpolys, zpolys, coeffs, coeffs)
 def test_apply_is_linear(p, q, a, b):
     assert ham.apply(p * a + q * b) == ham.apply(p) * a + ham.apply(q) * b
+
+
+def pairwise_apply(p):
+    """L p summed term by term with ZPolynomial + and *, the reference for
+    apply, which sums each output monomial once."""
+    out = ZPolynomial.zero()
+    for (j, k), coeff in ham._SECOND.items():
+        out = out + coeff * p.derivative(j).derivative(k)
+    for j, coeff in ham._FIRST.items():
+        out = out + coeff * p.derivative(j)
+    return out
+
+
+# Coefficients over 1/(k^2 + k + 1), a denominator with no rational root, so
+# kappa_sum tests every factor against the sum.
+quadratic_den = st.builds(
+    lambda num, scale: KappaRational(num, (scale, scale, scale)),
+    st.lists(st.integers(-5, 5), min_size=1, max_size=3).map(tuple),
+    st.sampled_from([1, 2, -3]),
+)
+mixed_zpolys = st.dictionaries(
+    st.tuples(*([st.integers(0, 4)] * 4)), coeffs | quadratic_den, max_size=6
+).map(ZPolynomial)
+
+
+# L z1^2 and L z2 meet at z2 with -8 and 4 + 20k, so this image has a
+# coefficient that sums to zero.
+CANCELS_AT_Z2 = (Z1 * Z1 * kappa_linear(4, 20) + Z2 * 8) * KappaRational(1, (1, 1, 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(mixed_zpolys)
+@example(CANCELS_AT_Z2)
+def test_apply_matches_pairwise_sum(p):
+    got = ham.apply(p)
+    assert got == pairwise_apply(p)
+    assert all(got.terms.values())
 
 
 @settings(max_examples=40, deadline=None)

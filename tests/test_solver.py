@@ -151,6 +151,40 @@ def test_verify_eigen():
     assert not solver.verify_eigen(tampered)
 
 
+@pytest.mark.parametrize("case", ["eps+1", "eps/(k+1)", "doubled", "dropped"])
+def test_verify_eigen_rejects(case):
+    # (2,1,0,1) with a wrong eigenvalue or one wrong non-leading term.
+    p = solver.solve((2, 1, 0, 1))
+    eps, terms = p.eigenvalue, dict(p.polynomial.terms)
+    e = next(e for e in terms if e != p.m)
+    if case == "eps+1":
+        eps = eps + 1
+    elif case == "eps/(k+1)":
+        eps = eps / KappaRational((1, 1))
+    elif case == "doubled":
+        terms[e] = terms[e] * 2
+    else:
+        del terms[e]
+    tampered = solver.CSPolynomial(p.m, eps, p.coefficients, ZPolynomial(terms))
+    assert not solver.verify_eigen(tampered)
+
+
+def test_verify_eigen_sums_without_pairwise_add(monkeypatch):
+    # L P - eps P is summed once per monomial by kappa_sum, never term by
+    # term with KappaRational +; the only products are the terms of the 14
+    # derivatives of P.
+    p = solver.solve((2, 2, 2, 2))
+    calls = {"__add__": 0, "__mul__": 0}
+    for name in calls:
+        def counted(self, other, _op=getattr(KappaRational, name), _name=name):
+            calls[_name] += 1
+            return _op(self, other)
+        monkeypatch.setattr(KappaRational, name, counted)
+    assert solver.verify_eigen(p)
+    assert calls["__add__"] == 0
+    assert 0 < calls["__mul__"] <= 14 * len(p.polynomial)
+
+
 def test_solve_triality_covariance():
     for m in [(2, 1, 0, 0), (1, 0, 2, 1)]:
         base = solver.solve(m)
