@@ -77,7 +77,8 @@ _STEP = _bounded(float, sys.float_info.epsilon, strict=True)
 
 
 def _emit(obj, text=None) -> int:
-    """Print ``obj`` as JSON, or ``text`` in its place (``--format text``).
+    """Print ``obj`` as JSON, or in its place the strings of the iterable
+    ``text`` and a newline (``--format text``).
 
     The one verdict-to-exit-code rule: exit 1 exactly when ``obj`` says
     ``"ok": false``.
@@ -87,7 +88,8 @@ def _emit(obj, text=None) -> int:
         json.dump(obj, sys.stdout, sort_keys=True, indent=2, allow_nan=False)
         sys.stdout.write("\n")
     else:
-        print(text)
+        sys.stdout.writelines(text)  # a polynomial's terms, never joined whole
+        sys.stdout.write("\n")
     return EXIT_VERIFY_FAILED if obj.get("ok") is False else EXIT_OK
 
 
@@ -99,11 +101,11 @@ def cmd_compute(args) -> int:
     if args.kappa is None:
         p = solver.solve(args.m)
         if args.format == "text":
-            return _emit({}, p.polynomial)
+            return _emit({}, p.polynomial.str_parts())
         return _emit({**p.to_fixture_obj(), "kappa": "symbolic"})
     poly = solver.solve_at(args.m, args.kappa)
     if args.format == "text":
-        return _emit({}, poly)
+        return _emit({}, poly.str_parts())
     return _emit({"m": list(args.m), "kappa": str(args.kappa),
                   "terms": poly.to_json_obj()})
 
@@ -111,7 +113,7 @@ def cmd_compute(args) -> int:
 def cmd_dims(args) -> int:
     dim = rootsystem.weyl_dimension(args.m)
     obj = {"m": list(args.m), "dim": dim}
-    return _emit(obj, dim if args.format == "text" else None)
+    return _emit(obj, [str(dim)] if args.format == "text" else None)
 
 
 def cmd_recur(args) -> int:

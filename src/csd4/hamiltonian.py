@@ -14,7 +14,8 @@ check it against the first, which stays the independent reference.
 :func:`apply` collects the products of the table's coefficients with the
 derivatives of p under their output monomial and sums each monomial once,
 with :func:`~csd4.kappa.kappa_sum`; :func:`csd4.solver.verify_eigen` adds
--eps P to the same pairs and tests that every sum, so (L - eps) P, is zero.
+-eps P to the same pairs and tests that every sum, so (L - eps) P, is zero,
+in one :func:`~csd4.kappa.kappa_all_zero`.
 The table itself is checked independently, by the finite-difference operator
 on the torus (:mod:`csd4.qspace`) and against the energy's quadratic form.
 """

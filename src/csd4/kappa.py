@@ -8,12 +8,14 @@ leading coefficient) so that equality is plain structural comparison.
 Every denominator the solver meets is a product of eigenvalue differences
 ``eps(e) - eps(m)``, which are linear in the coupling.  So a denominator is
 stored factored: a positive integer content times primitive factors
-``a + b*k`` (``b > 0``), each with a multiplicity.  A sum takes the lcm of
-the factor multisets and multiplies each numerator up to it.  Binary ``+``
-sums two terms, one pass per linear factor.  :func:`kappa_sum` is the
-solver's dot product sum(c * a) of n coefficients c with integer
-polynomials a, with one lcm and one reduction; it multiplies by packing
-each polynomial into one integer (Kronecker substitution).  A sum or a
+``a + b*k`` (``b > 0``), each with a multiplicity; a product by an integer
+shares its operand's dict.  A sum takes the lcm of the factor multisets and
+multiplies each numerator up to it.  Binary ``+`` sums two terms, one pass
+per linear factor.  :func:`kappa_sum` is the solver's dot product
+sum(c * a) of n coefficients c with integer polynomials a, with one lcm and
+one reduction; it multiplies by packing each polynomial into one integer
+(Kronecker substitution).  :func:`kappa_all_zero` zero-tests a batch of such
+sums over one lcm and one packing, with no reduction.  A sum or a
 product is brought to lowest terms by testing each factor against the
 numerator with one exact synthetic division, and the content with one
 integer gcd.  The general gcd :func:`poly_gcd` runs only on a denominator
@@ -176,26 +178,19 @@ def poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
 
 def poly_to_str(a: IntPoly) -> str:
     """Canonical rendering, highest degree first, e.g. ``12*k^2 - k + 3``."""
-    if not a:
-        return "0"
-    parts = []
+    out = ""
     for d in range(len(a) - 1, -1, -1):
         c = a[d]
         if c == 0:
             continue
-        sign = "-" if c < 0 else "+"
         mag = abs(c)
-        if d == 0:
-            body = str(mag)
-        else:
-            var = "k" if d == 1 else f"k^{d}"
-            body = var if mag == 1 else f"{mag}*{var}"
-        parts.append((sign, body))
-    first_sign, first_body = parts[0]
-    out = ("-" if first_sign == "-" else "") + first_body
-    for sign, body in parts[1:]:
-        out += f" {sign} {body}"
-    return out
+        var = "k" if d == 1 else f"k^{d}"
+        if out:
+            out += " - " if c < 0 else " + "
+        elif c < 0:
+            out = "-"
+        out += str(mag) if d == 0 else var if mag == 1 else f"{mag}*{var}"
+    return out or "0"
 
 
 _TERM_RE = re.compile(r"(?P<coeff>[0-9]+)?(?:\*?(?P<var>k)(?:\^(?P<pow>[0-9]+))?)?")
@@ -363,12 +358,13 @@ class KappaRational:
         # against the other operand's denominator leaves lowest terms.
         a = _reduce(self.num, other._content, other._factors)
         b = _reduce(other.num, self._content, self._factors)
-        factors = dict(a._factors)
-        for f, e in b._factors.items():
-            factors[f] = factors.get(f, 0) + e
-        return _make(
-            poly_mul(a.num, b.num), a._content * b._content, factors or _NO_FACTORS
-        )
+        fa, fb = a._factors, b._factors
+        factors = fa or fb  # shared, not copied, when one side has none
+        if fa and fb:
+            factors = dict(fa)
+            for f, e in fb.items():
+                factors[f] = factors.get(f, 0) + e
+        return _make(poly_mul(a.num, b.num), a._content * b._content, factors)
 
     __rmul__ = __mul__
 
@@ -608,6 +604,49 @@ def kappa_sum(terms) -> KappaRational:
         weights = {poly_primitive(a) for _, a in terms if len(a) == 2}
         test = [f for f, (_, n) in top.items() if n > 1 or f in weights]
     return _reduce(_unpack(total, bits), content, factors, test)
+
+
+def _lcm(cs) -> tuple:
+    """The lcm of the denominators of ``cs`` as (content, {f: top e}), and
+    their distinct factor dicts by id."""
+    dicts = {id(c._factors): c._factors for c in cs}
+    top: dict = {}
+    for fs in dicts.values():
+        for f, e in fs.items():
+            if e > top.get(f, 0):
+                top[f] = e
+    return math.lcm(*{c._content for c in cs}), top, dicts
+
+
+def kappa_all_zero(sums) -> bool:
+    """``not any(kappa_sum(ps) for ps in sums)`` over one lcm of every c: one
+    cofactor per distinct factor dict, one packing width (the bound of
+    :func:`kappa_sum`), and each distinct c (times its cofactor) and a packed
+    once, by id.  Each sum is one integer dot product, and none is reduced."""
+    sums = [[(c, a) for c, a in ps if c.num and a] for ps in sums]
+    cs = {id(c): c for ps in sums for c, _ in ps}
+    ws = {id(a): a for ps in sums for _, a in ps}
+    content, top, dicts = _lcm(cs.values())
+    fbits = {f: sum(map(abs, f)).bit_length() for f in top}
+    full = sum(fbits[f] * e for f, e in top.items())
+    bits = (max((max(map(abs, c.num)).bit_length() + (content // c._content).bit_length()
+                 + full - sum(fbits[f] * e for f, e in c._factors.items())
+                 for c in cs.values()), default=0)
+            + max((sum(map(abs, a)).bit_length() for a in ws.values()), default=0)
+            + max(map(len, sums), default=0).bit_length() + 1)
+    pf = {f: _pack(f, bits) for f in top}
+    cof = {k: math.prod(pf[f] ** (e - fs.get(f, 0)) for f, e in top.items())
+           for k, fs in dicts.items()}
+    xc = {k: _pack(c.num, bits) * (content // c._content) * cof[id(c._factors)]
+          for k, c in cs.items()}
+    xa = {k: _pack(a, bits) for k, a in ws.items()}
+    return not any(sum(xc[id(c)] * xa[id(a)] for c, a in ps) for ps in sums)
+
+
+def kappa_common_den(cs) -> tuple:
+    """(d, [n for c in cs]) in Z[k], each c == n / d, d the lcm of the factored dens."""
+    d = _make(_ONE, *_lcm(cs)[:2]).den
+    return d, [poly_div_exact(poly_mul(c.num, d), c.den) for c in cs]
 
 
 def share_den(x: KappaRational, seen: dict) -> KappaRational:

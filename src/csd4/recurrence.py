@@ -3,9 +3,12 @@
 Multiplying an eigenpolynomial by z_v expands again in the eigenbasis, with
 quantum numbers shifted by the weights of the v-th fundamental
 representation; at unit coupling the expansion degenerates to the ordinary
-Clebsch-Gordan series.  Coefficients are extracted by peeling leading
-monomials (the basis is unitriangular in the height order), which also
-verifies that only the admissible shift slots appear.
+Clebsch-Gordan series.  The basis is unitriangular in the height order, so
+each admissible slot's coefficient follows from the slot's own exponent and
+the slots above it.  The whole identity z_v P_m = sum c_j P_j is then
+zero-tested in one exact batch (:func:`~csd4.kappa.kappa_all_zero`), which
+also verifies that only the admissible shift slots appear; no product c_j P_j
+is formed.
 """
 
 from __future__ import annotations
@@ -13,7 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import Check, Report, ResidualNonzero
-from .kappa import KappaRational, kappa_linear
+from .kappa import (
+    KappaRational, kappa_all_zero, kappa_common_den, kappa_linear, kappa_sum, poly_neg,
+)
 from .rootsystem import (
     TRIALITY_MAPS, WEYL_VECTOR_ROOT, apply_triality, weight_orbit, weight_to_root,
 )
@@ -30,6 +35,8 @@ SHIFTS = {
 }
 SHIFTS[2] += ((0, 0, 0, 0),)
 _RHO1, _RHO2, _RHO3, _RHO4 = WEYL_VECTOR_ROOT
+_ZERO = KappaRational(0)
+_PLUS, _MINUS = (1,), (-1,)  # kappa_sum weights
 
 
 def _monomial_key(e):
@@ -52,26 +59,42 @@ class RecurrenceExpansion:
 
 
 def expand_product(v: int, m) -> RecurrenceExpansion:
-    """Expand z_v times the eigenpolynomial of m in the eigenbasis."""
-    base = solve(m)
-    residual = ZPolynomial.variable(v) * base.polynomial
-    candidates = set()
-    for s in SHIFTS[v]:
-        mp = tuple(m[i] + s[i] for i in range(4))
-        if all(c >= 0 for c in mp):
-            candidates.add(mp)
+    """Expand z_v times the eigenpolynomial of m in the eigenbasis.
+
+    The admissible slots, highest first, are solved for one at a time at
+    their own exponent e, where z_v P_m has the coefficient P_m[e - delta_v]
+    and every higher P_j is known.  Then the whole identity
+    D z_v P_m - sum N_j P_j = 0, with the slot coefficients cleared to
+    N_j / D, is tested for zero in one :func:`~csd4.kappa.kappa_all_zero`.
+    """
+    m = tuple(m)
+    base = solve(m).polynomial.terms
+    slots = {tuple(m[i] + s[i] for i in range(4)) for s in SHIFTS[v]}
+    polys = {e: solve(e).polynomial.terms
+             for e in sorted(slots, key=_monomial_key, reverse=True) if min(e) >= 0}
+    i = v - 1
     terms = {}
-    while residual.terms:
-        lead = max(residual.terms, key=_monomial_key)
-        if lead not in candidates:
-            raise ResidualNonzero(
-                f"z{v} * P_{m}: leading remainder {lead} is not an admissible shift"
-            )
-        coeff = residual.terms[lead]
-        residual = residual - solve(lead).polynomial * coeff
-        terms[lead] = coeff
-        candidates.discard(lead)
-    return RecurrenceExpansion(v, tuple(m), terms)
+    for e in polys:
+        c = base.get((*e[:i], e[i] - 1, *e[i + 1:]), _ZERO)
+        higher = [(b * polys[s][e], _MINUS) for s, b in terms.items() if e in polys[s]]
+        if higher:
+            c = kappa_sum([(c, _PLUS), *higher])
+        if c:
+            terms[e] = c
+    den, nums = kappa_common_den(list(terms.values()))
+    rows = {}  # exponent -> the pairs of D z_v P_m - sum N_j P_j there
+    for e, c in base.items():
+        rows.setdefault((*e[:i], e[i] + 1, *e[i + 1:]), []).append((c, den))
+    for s, n in zip(terms, nums):
+        n = poly_neg(n)
+        for e, c in polys[s].items():
+            rows.setdefault(e, []).append((c, n))
+    if not kappa_all_zero(rows.values()):
+        lead = max((e for e, pairs in rows.items() if kappa_sum(pairs)), key=_monomial_key)
+        raise ResidualNonzero(
+            f"z{v} * P_{m}: leading remainder {lead} is not an admissible shift"
+        )
+    return RecurrenceExpansion(v, m, terms)
 
 
 # ----------------------------------------------------------------------

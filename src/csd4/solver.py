@@ -32,7 +32,7 @@ from types import MappingProxyType
 
 from . import hamiltonian
 from .errors import InternalInconsistency, PoleAtKappa
-from .kappa import KappaRational, kappa_sum, poly_neg, share_den
+from .kappa import KappaRational, kappa_all_zero, kappa_sum, poly_neg, share_den
 from .rootsystem import (
     TRIALITY_MAPS,
     apply_triality,
@@ -280,8 +280,8 @@ def specialize(p: CSPolynomial, kappa0) -> ZPolynomial:
 
 def verify_eigen(p: CSPolynomial) -> bool:
     """Exact check that (L - eps) P is zero, L applied by generic
-    differentiation (:func:`csd4.hamiltonian.apply`): each coefficient is one
-    :func:`~csd4.kappa.kappa_sum`, which returns zero before any reduction."""
+    differentiation (:func:`csd4.hamiltonian.apply`): its coefficients are
+    zero-tested in one :func:`~csd4.kappa.kappa_all_zero`, which reduces none."""
     eps = p.eigenvalue
     if eps.den != (1,):
         # The eigenvalues of the triangular L are the polynomials eps(e).
@@ -290,4 +290,4 @@ def verify_eigen(p: CSPolynomial) -> bool:
     minus_eps = poly_neg(eps.num)
     for e, c in p.polynomial.terms.items():
         pairs.setdefault(e, []).append((c, minus_eps))
-    return not any(kappa_sum(ps) for ps in pairs.values())
+    return kappa_all_zero(pairs.values())

@@ -246,9 +246,14 @@ class ZPolynomial:
         return len(self.terms)
 
     def __str__(self):
+        return "".join(self.str_parts())
+
+    def str_parts(self):
+        """The text of ``str(self)`` one term at a time, so that a large
+        polynomial is written without being held whole."""
         if not self.terms:
-            return "0"
-        parts = []
+            yield "0"
+        sep = ""
         for exps in sorted(self.terms, reverse=True):
             factors = []
             for i, e in enumerate(exps):
@@ -257,8 +262,8 @@ class ZPolynomial:
                 elif e > 1:
                     factors.append(f"z{i + 1}^{e}")
             mono = "*".join(factors) if factors else "1"
-            parts.append(f"({self.terms[exps]})*{mono}")
-        return " + ".join(parts)
+            yield f"{sep}({self.terms[exps]})*{mono}"
+            sep = " + "
 
     def __repr__(self):
         return f"ZPolynomial({self.terms!r})"

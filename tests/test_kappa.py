@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from csd4 import fixtures
+from csd4 import fixtures, solver
 from csd4.errors import PoleAtKappa
 from csd4.kappa import (
     KappaRational,
+    kappa_all_zero,
+    kappa_common_den,
     kappa_linear,
     kappa_sum,
     poly_add,
@@ -388,3 +390,55 @@ def test_kappa_sum_matches_gcd_reference(data):
     # their top multiplicity, which the restricted test must still cancel.
     j = data.draw(st.integers(0, len(terms)))
     assert kappa_sum([*terms, (-kappa_sum(terms[:j]), (1,))]) == kappa_sum(terms[j:])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_kappa_all_zero_matches_kappa_sum(data):
+    pool = data.draw(
+        st.lists(st.sampled_from(LINEAR), min_size=3, max_size=3, unique=True)
+    )
+    # Mixed contents and factor sets, with or without an opaque quadratic,
+    # and coefficient objects (so factor dicts) shared between the sums.
+    quadratics = data.draw(st.sampled_from([(), QUADRATICS]))
+    xs = [x for x, _, _ in data.draw(
+        st.lists(factored_operands(pool, quadratics), min_size=1, max_size=4)
+    )]
+    kinds = [*LINEAR_WEIGHTS, "product"]
+    sums = []
+    for _ in range(data.draw(st.integers(0, 4))):
+        picks = data.draw(st.lists(st.sampled_from(xs), max_size=4))
+        ps = [(x, data.draw(weights(pool, x, kinds))) for x in picks]
+        how = data.draw(st.sampled_from(["as drawn", "negated", "total", "one off"]))
+        if how == "negated":  # each term cancelled by its negation
+            ps += [(-x, a) for x, a in ps]
+        elif how == "total":  # cancelled by one term over other denominators
+            ps.append((-kappa_sum(ps), (1,)))
+        elif how == "one off" and ps:  # all but one term cancelled
+            rest = ps[1:]
+            ps += [(x * 3, poly_neg(a)) for x, a in rest]
+            ps += [(x, poly_scale(a, 2)) for x, a in rest]
+        sums.append(ps)
+    assert kappa_all_zero(sums) == (not any(kappa_sum(ps) for ps in sums))
+    for ps in sums:
+        assert kappa_all_zero([ps]) == (not kappa_sum(ps))
+    d, nums = kappa_common_den(xs)
+    assert d[-1] > 0
+    assert [KappaRational(n, d) for n in nums] == xs
+
+
+def test_kappa_all_zero_is_not_fooled_at_a_packing_point():
+    # k - 2^b vanishes at k = 2^b, the point a packing of width b would use.
+    one, k = KappaRational(1), kappa_linear(0, 1)
+    for b in range(1, 80):
+        assert not kappa_all_zero([[(one, (-(1 << b), 1))]])
+        assert not kappa_all_zero([[(k, (1,)), (one, (-(1 << b),))]])
+        assert not kappa_all_zero([[(k / 3, (3,)), (one / (b + 1), (-((b + 1) << b),))]])
+
+
+def test_product_by_an_integer_shares_the_factor_dict():
+    p = solver.solve((2, 2, 2, 2))
+    c = next(c for c in p.coefficients.values() if c._factors and len(c.num) > 1)
+    assert (c * 3)._factors is c._factors
+    assert (3 * c)._factors is c._factors
+    assert (c * 3) / 3 == c

@@ -1,6 +1,7 @@
 """Character-product expansions, printed closed forms, ladder construction."""
 
 import cmath
+import itertools
 
 import pytest
 
@@ -133,12 +134,86 @@ def test_triality_identities():
             assert report.ok
 
 
+def pairwise_peel(v, m):
+    """z_v * P_m expanded by peeling its leading monomial term by term with
+    ZPolynomial - and *, the reference for expand_product."""
+    residual = ZPolynomial.variable(v) * solver.solve(m).polynomial
+    candidates = {tuple(x + s for x, s in zip(m, shift)) for shift in rec.SHIFTS[v]}
+    terms = {}
+    while residual.terms:
+        lead = max(residual.terms, key=rec._monomial_key)
+        if lead not in candidates:
+            raise ResidualNonzero(
+                f"z{v} * P_{m}: leading remainder {lead} is not an admissible shift"
+            )
+        coeff = residual.terms[lead]
+        residual = residual - solver.solve(lead).polynomial * coeff
+        terms[lead] = coeff
+        candidates.discard(lead)
+    return terms
+
+
+SMALL_M = [m for m in itertools.product(range(4), repeat=4) if sum(m) <= 3]
+
+
+def test_expand_product_matches_pairwise_peel():
+    # All 140 products over |m| <= 3, and every relation family up to m = 4:
+    # the same terms, inserted in the same (peeling) order.
+    cases = [(v, m) for v in (1, 2, 3, 4) for m in SMALL_M]
+    assert len(cases) == 140
+    cases += [(v, base) for m in range(1, 5) for _, v, base, _ in rec._relation_families(m)]
+    for v, m in cases:
+        got = rec.expand_product(v, m).terms
+        assert list(got.items()) == list(pairwise_peel(v, m).items()), (v, m)
+
+
 def test_residual_nonzero_on_corrupt_table(monkeypatch):
-    crippled = dict(rec.SHIFTS)
-    crippled[1] = crippled[1][:1]  # drop every slot except the leading one
-    monkeypatch.setattr(rec, "SHIFTS", crippled)
-    with pytest.raises(ResidualNonzero):
-        rec.expand_product(1, (1, 0, 0, 0))
+    # With only the first ``keep`` slots admissible, the one batch zero test
+    # fails and names the leading remainder the pairwise peel stops at.
+    shifts = rec.SHIFTS
+    for v, m, keep, lead in [
+        (1, (1, 0, 0, 0), 1, (0, 1, 0, 0)),
+        (2, (1, 1, 0, 0), 3, (3, 0, 0, 0)),
+        (1, (2, 1, 1, 0), 2, (2, 0, 2, 1)),
+    ]:
+        crippled = dict(shifts)
+        crippled[v] = crippled[v][:keep]
+        monkeypatch.setattr(rec, "SHIFTS", crippled)
+        message = f"z{v} * P_{m}: leading remainder {lead} is not an admissible shift"
+        for expand in (rec.expand_product, pairwise_peel):
+            with pytest.raises(ResidualNonzero) as err:
+                expand(v, m)
+            assert str(err.value) == message
+
+
+def test_residual_test_makes_no_pairwise_add(monkeypatch):
+    # The identity z_v P_m = sum c_j P_j is tested in one kappa_all_zero, with
+    # no KappaRational + or -; kappa_sum runs only in the triangular solve.
+    cases = ((2, (0, 1, 1, 1)), (1, (2, 1, 1, 0)))
+    for v, m in cases:
+        rec.expand_product(v, m)  # every solve it needs is cached
+    calls = {"add": 0, "batches": 0, "kappa_sum": 0}
+
+    def counted_add(self, other, _add=KappaRational.__add__):
+        calls["add"] += 1
+        return _add(self, other)
+
+    def batch(sums, _all_zero=rec.kappa_all_zero):
+        calls["batches"] += 1
+        return _all_zero(sums)
+
+    def counted_sum(pairs, _sum=rec.kappa_sum):
+        calls["kappa_sum"] += 1
+        return _sum(pairs)
+
+    monkeypatch.setattr(KappaRational, "__add__", counted_add)
+    monkeypatch.setattr(rec, "kappa_all_zero", batch)
+    monkeypatch.setattr(rec, "kappa_sum", counted_sum)
+    for v, m in cases:
+        rec.expand_product(v, m)
+    assert calls["batches"] == 2
+    assert calls["add"] == 0
+    assert 0 < calls["kappa_sum"] <= len(rec.SHIFTS[2]) + len(rec.SHIFTS[1])
 
 
 def test_ladder_matches_solver():

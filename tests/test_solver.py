@@ -170,18 +170,24 @@ def test_verify_eigen_rejects(case):
 
 
 def test_verify_eigen_sums_without_pairwise_add(monkeypatch):
-    # L P - eps P is summed once per monomial by kappa_sum, never term by
-    # term with KappaRational +; the only products are the terms of the 14
-    # derivatives of P.
+    # L P - eps P is zero-tested in one kappa_all_zero, never summed term by
+    # term with KappaRational + nor one kappa_sum per monomial; the only
+    # products are the terms of the 14 derivatives of P.
     p = solver.solve((2, 2, 2, 2))
-    calls = {"__add__": 0, "__mul__": 0}
-    for name in calls:
+    calls = {"__add__": 0, "__mul__": 0, "kappa_sum": 0, "kappa_all_zero": 0}
+    for name in ("__add__", "__mul__"):
         def counted(self, other, _op=getattr(KappaRational, name), _name=name):
             calls[_name] += 1
             return _op(self, other)
         monkeypatch.setattr(KappaRational, name, counted)
+    for name in ("kappa_sum", "kappa_all_zero"):
+        def counted_batch(arg, _op=getattr(solver, name), _name=name):
+            calls[_name] += 1
+            return _op(arg)
+        monkeypatch.setattr(solver, name, counted_batch)
     assert solver.verify_eigen(p)
-    assert calls["__add__"] == 0
+    assert calls["__add__"] == calls["kappa_sum"] == 0
+    assert calls["kappa_all_zero"] == 1
     assert 0 < calls["__mul__"] <= 14 * len(p.polynomial)
 
 

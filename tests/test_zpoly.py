@@ -115,3 +115,11 @@ def test_derivative_leibniz(a, j):
     lhs = (a * b).derivative(j)
     rhs = a.derivative(j) * b + a * b.derivative(j)
     assert lhs == rhs
+
+
+def test_str_parts_are_the_text_one_term_each():
+    p = (Z1 * Z1 * KappaRational((1, 2), (3, 1)) - Z2 * 4 + 7)
+    parts = list(p.str_parts())
+    assert len(parts) == len(p)
+    assert "".join(parts) == str(p)
+    assert list(ZPolynomial.zero().str_parts()) == ["0"] == [str(ZPolynomial.zero())]
