@@ -15,7 +15,7 @@ import random
 from fractions import Fraction
 
 from . import fixtures, qspace, recurrence, rootsystem, solver
-from .errors import Check, PoleAtKappa, Report
+from .errors import Check, PoleAtKappa
 from .genfun import pde_residual, series_check
 from .zpoly import ZPolynomial
 

@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from . import checks, genfun, qspace, recurrence, rootsystem, solver
-from .errors import PoleAtKappa
+from .errors import PoleAtKappa, Report
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -158,7 +158,7 @@ def cmd_qcheck(args) -> int:
 
 def cmd_verify(args) -> int:
     names = checks.SUITES if args.suite == "all" else (args.suite,)
-    report = checks.Report([c for name in names for c in checks.SUITES[name](args)])
+    report = Report([c for name in names for c in checks.SUITES[name](args)])
     return _emit({
         "suite": args.suite,
         "checks": [c.to_json_obj() for c in report.records],

@@ -7,22 +7,26 @@ the table ``_SECOND``/``_FIRST``.  It is normalized so that L P = eps(m) P on
 the eigenpolynomial with quantum numbers m, eps the excitation energy.
 
 Two algorithms run over that table: generic differentiation (:func:`apply`),
-and the action on one monomial (:func:`apply_to_monomial`), which evaluates
-the table's terms grouped at import by the shift they apply; the s = 0 group
-is the eigenvalue.  The second is the solver's one evaluator of L; tests
-check it against the first, which stays the independent reference.
-:func:`apply` collects the products of the table's coefficients with the
-derivatives of p under their output monomial and sums each monomial once,
-with :func:`~csd4.kappa.kappa_sum`; :func:`csd4.solver.verify_eigen` adds
--eps P to the same pairs and tests that every sum, so (L - eps) P, is zero,
-in one :func:`~csd4.kappa.kappa_all_zero`.
+and the action on one monomial, which evaluates the table's terms grouped
+at import by the shift they apply; the s = 0 group is the eigenvalue.
+:func:`monomial_image` is that second algorithm on integers, each
+coefficient an integer pair (c0, c1) meaning c0 + c1*k, and the solver's
+one evaluator of L; :func:`apply_to_monomial` and :func:`eigenvalue` read
+its pairs as polynomials, and tests check them against the first, which
+stays the independent reference.  :func:`apply` collects the pairs
+(c, n*a) of a coefficient c of p, the integer n its derivative brings
+down and a coefficient a of the table under their output monomial, and
+sums each monomial once, with :func:`~csd4.kappa.kappa_sum`, so it forms
+no product of rational functions; :func:`csd4.solver.verify_eigen` adds
+-eps P to the same pairs and tests that every sum, so (L - eps) P, is
+zero, in one :func:`~csd4.kappa.kappa_all_zero`.
 The table itself is checked independently, by the finite-difference operator
 on the torus (:mod:`csd4.qspace`) and against the energy's quadratic form.
 """
 
 from __future__ import annotations
 
-from .kappa import KappaRational, kappa_linear, kappa_sum
+from .kappa import KappaRational, kappa_linear, kappa_sum, poly_scale
 from .rootsystem import check_dominant, weight_to_root
 from .zpoly import ZPolynomial
 
@@ -55,18 +59,28 @@ _FIRST = {
 
 def _apply_pairs(p: ZPolynomial) -> dict:
     """Each output exponent of :func:`apply` with its :func:`~csd4.kappa.kappa_sum`
-    pairs (c, a): c a coefficient of a derivative of p, a the integer c0 + c1*k
+    pairs (c, n*a): c a coefficient of p at z^e, n the integer the derivative
+    of z^e brings down (e_j, or e_j (e_k - delta_jk)), a the integer c0 + c1*k
     of a term of the table (:func:`_derive` rejects any other entry)."""
-    firsts = {j: p.derivative(j) for j in range(1, 5)}
-    products = [(coeff, firsts[j].derivative(k)) for (j, k), coeff in _SECOND.items()]
-    products += [(coeff, firsts[j]) for j, coeff in _FIRST.items()]
+    table = [*_SECOND.items(), *(((j,), coeff) for j, coeff in _FIRST.items())]
+    scaled: dict = {}  # (n, a) -> n*a, one tuple per distinct weight
     pairs: dict = {}
-    for coeff, d in products:
+    for key, coeff in table:
         for a, ca in coeff.terms.items():
             num = ca.num
-            for e, c in d.terms.items():
-                f = (e[0] + a[0], e[1] + a[1], e[2] + a[2], e[3] + a[3])
-                pairs.setdefault(f, []).append((c, num))
+            for e, c in p.terms.items():
+                d = list(e)
+                n = 1
+                for j in key:
+                    n *= d[j - 1]
+                    d[j - 1] -= 1
+                if not n:
+                    continue
+                w = scaled.get((n, num))
+                if w is None:
+                    w = scaled[n, num] = poly_scale(num, n)
+                f = (d[0] + a[0], d[1] + a[1], d[2] + a[2], d[3] + a[3])
+                pairs.setdefault(f, []).append((c, w))
     return pairs
 
 
@@ -81,8 +95,9 @@ def apply(p: ZPolynomial) -> ZPolynomial:
     return ZPolynomial(out, _raw=True)
 
 
-def _group_value(terms, e) -> KappaRational:
-    """Sum of (c0 + c1*k) * prod(e_i - o for (i, o) in factors) at exponent e."""
+def _group_value(terms, e) -> tuple:
+    """Sum of (c0 + c1*k) * prod(e_i - o for (i, o) in factors) at exponent e,
+    as the integer pair (const, slope)."""
     const = slope = 0
     for c0, c1, factors in terms:
         x = 1
@@ -90,7 +105,7 @@ def _group_value(terms, e) -> KappaRational:
             x *= e[i] - o
         const += c0 * x
         slope += c1 * x
-    return kappa_linear(const, slope)
+    return const, slope
 
 
 def _derive() -> tuple:
@@ -121,29 +136,39 @@ def _derive() -> tuple:
 _DIAGONAL, _SHIFTED = _derive()
 
 
+def monomial_image(e) -> tuple:
+    """L z^e on integers, from the grouped table: eps(e) as a pair (c0, c1),
+    meaning c0 + c1*k, and the off-diagonal terms as a list of pairs
+    (f, (c0, c1)) for the nonzero coefficients of z^f, f = e - s.
+
+    The shifts are distinct and nonzero, so each term has its own exponent.
+    """
+    out = []
+    for s, terms in _SHIFTED:
+        coeff = _group_value(terms, e)
+        if coeff == (0, 0):
+            continue
+        shifted = (e[0] - s[0], e[1] - s[1], e[2] - s[2], e[3] - s[3])
+        if shifted[0] < 0 or shifted[1] < 0 or shifted[2] < 0 or shifted[3] < 0:
+            msg = f"nonzero shift coefficient at invalid exponent {shifted}"
+            raise ArithmeticError(msg)
+        out.append((shifted, coeff))
+    return _group_value(_DIAGONAL, e), out
+
+
 def eigenvalue(m) -> KappaRational:
     """Excitation energy eps(m), an exact degree-1 polynomial in the coupling."""
-    return _group_value(_DIAGONAL, check_dominant(m))
+    return kappa_linear(*monomial_image(check_dominant(m))[0])
 
 
 def apply_to_monomial(e) -> ZPolynomial:
-    """L z^e from the grouped table, as :func:`csd4.solver.solve` pushes
-    each term through it; tests check it against :func:`apply`."""
+    """L z^e as a polynomial, the pairs of :func:`monomial_image` read by
+    :func:`~csd4.kappa.kappa_linear`; tests check it against :func:`apply`."""
     e = tuple(e)
-    out = {}
-    eps = eigenvalue(e)
-    if eps:
-        out[e] = eps
-    # The shifts are distinct and nonzero, so each term has its own exponent.
-    for s, terms in _SHIFTED:
-        coeff = _group_value(terms, e)
-        if not coeff:
-            continue
-        shifted = (e[0] - s[0], e[1] - s[1], e[2] - s[2], e[3] - s[3])
-        if any(x < 0 for x in shifted):
-            msg = f"nonzero shift coefficient at invalid exponent {shifted}"
-            raise ArithmeticError(msg)
-        out[shifted] = coeff
+    eps, image = monomial_image(e)
+    out = {e: kappa_linear(*eps)} if eps != (0, 0) else {}
+    for f, coeff in image:
+        out[f] = kappa_linear(*coeff)
     return ZPolynomial(out, _raw=True)
 
 

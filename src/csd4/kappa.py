@@ -12,16 +12,19 @@ stored factored: a positive integer content times primitive factors
 shares its operand's dict.  A sum takes the lcm of the factor multisets and
 multiplies each numerator up to it.  Binary ``+`` sums two terms, one pass
 per linear factor.  :func:`kappa_sum` is the solver's dot product
-sum(c * a) of n coefficients c with integer polynomials a, with one lcm and
-one reduction; it multiplies by packing each polynomial into one integer
-(Kronecker substitution).  :func:`kappa_all_zero` zero-tests a batch of such
-sums over one lcm and one packing, with no reduction.  A sum or a
-product is brought to lowest terms by testing each factor against the
-numerator with one exact synthetic division, and the content with one
-integer gcd.  The general gcd :func:`poly_gcd` runs only on a denominator
-of degree >= 2 that arrives with no known factorization: from a string,
-from the constructor, or from the inverse of a non-linear numerator.  Such
-a polynomial is kept as one more factor and cancelled by the same code.
+sum(c * a) of n coefficients c with integer polynomials a, divided by the
+eigenvalue difference of its step, with one lcm (the divisor's content and
+factor folded in) and one reduction; it multiplies by packing each
+polynomial into one integer (Kronecker substitution), and a linear factor
+is tested against the sum only where its packed value divides the packed
+sum.  :func:`kappa_all_zero` zero-tests a batch of such sums over one lcm
+and one packing, with no reduction.  A sum or a product is brought to
+lowest terms by testing each factor against the numerator with one exact
+synthetic division, and the content with one integer gcd.  The general
+gcd :func:`poly_gcd` runs only on a denominator of degree >= 2 that
+arrives with no known factorization: from a string, from the constructor,
+or from the inverse of a non-linear numerator.  Such a polynomial is kept
+as one more factor and cancelled by the same code.
 
 Polynomials are stored as tuples of integer coefficients, lowest degree
 first, with no trailing zeros; the empty tuple is the zero polynomial.
@@ -543,67 +546,49 @@ def _unpack(x: int, bits: int) -> IntPoly:
     return tuple(out)
 
 
-def kappa_sum(terms) -> KappaRational:
+def kappa_sum(terms, over: IntPoly = _ONE) -> KappaRational:
     """The dot product sum(c * a) over pairs of a ``KappaRational`` c and an
-    integer polynomial a, with one reduction.
+    integer polynomial a, divided by ``over`` (nonzero, of degree at most 1),
+    with one reduction.
 
     The n-term form of the scheme of ``KappaRational.__add__``: one lcm of
-    the contents and factor multisets, and each c.num * a multiplied up to
-    it once.  Those products run as integer products (Kronecker
+    the contents and factor multisets (:func:`_lcm`, one pass per distinct
+    factor dict: solve shares one dict per distinct denominator), each
+    c.num * a multiplied up to it once, and the content and factor of
+    ``over`` joined to it.  The products run as integer products (Kronecker
     substitution): every polynomial is packed as its value at 2**bits, with
     bits above the bit length of the largest coefficient the sum can have,
-    so the packed sum unpacks to the sum's numerator.  When every factor and
-    every a is at most linear, only a factor that two or more terms carry at
-    its top multiplicity, or the primitive part of some a, can divide the
-    sum: it divides every other term, and a lone top term's c.num is coprime
-    to it.  Otherwise every factor is tested.
+    so the packed sum unpacks to the numerator N.  A linear factor f can
+    divide N only if f(2**bits) divides the packed sum, so only those, and
+    any non-linear factor, are tested.
     """
     terms = [(c, a) for c, a in terms if c.num and a]
     if not terms:
         return _KR_ZERO
-    content = math.lcm(*(c._content for c, _ in terms))
-    top: dict = {}  # factor -> [top multiplicity, terms carrying it there]
-    for c, _ in terms:
-        for f, e in c._factors.items():
-            seen = top.get(f)
-            if seen is None or e > seen[0]:
-                top[f] = [e, 1]
-            elif e == seen[0]:
-                seen[1] += 1
+    content, top, dicts = _lcm([c for c, _ in terms])
     fbits = {f: sum(map(abs, f)).bit_length() for f in top}  # of |f|_1
-    # The terms grouped by the factor dict of c (solve shares one dict per
-    # distinct denominator), each group with what its c lacks of the lcm.
-    groups: dict = {}  # id(c._factors) -> [missing, its bits, [(num, s, a)]]
-    width = 0
-    for c, a in terms:
-        fs = c._factors
-        group = groups.get(id(fs))
-        if group is None:
-            miss = tuple((f, e - fs.get(f, 0)) for f, (e, _) in top.items()
-                         if e > fs.get(f, 0))
-            group = groups[id(fs)] = [miss, sum(fbits[f] * d for f, d in miss), []]
-        s = content // c._content
-        # |c.num * a * s * prod f^d|_inf <= |c.num|_inf |a|_1 s prod |f|_1^d
-        num = c.num
-        w = (max(max(num), -min(num)).bit_length() + sum(map(abs, a)).bit_length()
-             + s.bit_length() + group[1])
-        if w > width:
-            width = w
-        group[2].append((num, s, a))
+    # what each distinct factor dict lacks of the lcm, with its bits
+    miss = {k: [(f, e - fs.get(f, 0)) for f, e in top.items() if e > fs.get(f, 0)]
+            for k, fs in dicts.items()}
+    mbits = {k: sum(fbits[f] * d for f, d in ms) for k, ms in miss.items()}
+    # |c.num * a * s * prod f^d|_inf <= |c.num|_inf |a|_1 s prod |f|_1^d
+    width = max(mbits[id(c._factors)] + (max(max(c.num), -min(c.num)) * sum(map(abs, a))
+                                         * (content // c._content)).bit_length()
+                for c, a in terms)
     bits = width + len(terms).bit_length() + 1  # room for the sum and its sign
-    pf = {f: _pack(f, bits) for f in top}
-    total = 0
-    for miss, _, rows in groups.values():
-        x = sum(_pack(num, bits) * _pack(a, bits) * s for num, s, a in rows)
-        for f, d in miss:
-            x *= pf[f] ** d
-        total += x
-    factors = {f: e for f, (e, _) in top.items()} or _NO_FACTORS
-    test = None
-    if all(len(f) == 2 for f in top) and all(len(a) <= 2 for _, a in terms):
-        weights = {poly_primitive(a) for _, a in terms if len(a) == 2}
-        test = [f for f, (_, n) in top.items() if n > 1 or f in weights]
-    return _reduce(_unpack(total, bits), content, factors, test)
+    sign, oc, of = _factor(over)
+    pf = {f: _pack(f, bits) for f in (*top, *of)}
+    sums = dict.fromkeys(dicts, 0)
+    for c, a in terms:
+        sums[id(c._factors)] += _pack(c.num, bits) * _pack(a, bits) * (content // c._content)
+    total = sum(x * math.prod(pf[f] ** d for f, d in miss[k]) for k, x in sums.items())
+    factors = dict(top)
+    for f in of:
+        factors[f] = factors.get(f, 0) + 1
+    test = [f for f in factors if len(f) != 2 or not pf[f] or not total % pf[f]]
+    num = _unpack(total, bits)
+    return _reduce(poly_neg(num) if sign < 0 else num, content * oc, factors or _NO_FACTORS,
+                   test)
 
 
 def _lcm(cs) -> tuple:
@@ -659,7 +644,12 @@ def share_den(x: KappaRational, seen: dict) -> KappaRational:
     return _make(x.num, x._content, twin._factors, twin.den)
 
 
+def poly_linear(const: int, slope: int) -> IntPoly:
+    """The integer polynomial ``const + slope*k``."""
+    return (const, slope) if slope else (const,) if const else _ZERO
+
+
 def kappa_linear(const: int, slope: int) -> KappaRational:
     """The polynomial ``const + slope*k`` (integers) as a rational function."""
-    num = (const, slope) if slope else (const,) if const else _ZERO
+    num = poly_linear(const, slope)
     return _make(num, 1, _NO_FACTORS) if num else _KR_ZERO

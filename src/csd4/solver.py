@@ -5,14 +5,17 @@ where mu runs over the lattice cone of nonnegative simple-root
 combinations that keep the exponent componentwise nonnegative.  L acts
 triangularly, L z^e = eps(e) z^e plus terms lower in the cone (Heckman &
 Opdam), so one pass over the cone in increasing height of mu solves it:
-each known term is pushed through :func:`csd4.hamiltonian.apply_to_monomial`
-and its off-diagonal image summed into the terms still to come.  A later
+each known term is pushed through :func:`csd4.hamiltonian.monomial_image`,
+which reads L z^e as integer pairs (c0, c1) meaning c0 + c1*k, and its
+off-diagonal image summed into the terms still to come.  A later
 coefficient is that sum over an eigenvalue difference, a nonzero
 polynomial in the coupling (so the symbolic solve never divides by zero).
 
 The pass is written once over a pluggable scalar: :func:`solve` runs it on
-rational functions of the coupling, :func:`solve_at` on exact rationals at
-one coupling value.
+rational functions of the coupling, where each coefficient is one
+:func:`csd4.kappa.kappa_sum` that divides as it sums, and the walk does
+no other rational-function arithmetic; :func:`solve_at` runs it on exact
+rationals at one coupling value.
 
 Triality permutes z1, z3, z4 and commutes with L, so a permutation sigma
 that fixes m fixes the monic eigenpolynomial too: c(sigma mu) = c(mu).  The
@@ -27,12 +30,13 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import attrgetter, itemgetter, methodcaller
+from operator import itemgetter
 from types import MappingProxyType
+from typing import NamedTuple
 
 from . import hamiltonian
 from .errors import InternalInconsistency, PoleAtKappa
-from .kappa import KappaRational, kappa_all_zero, kappa_sum, poly_neg, share_den
+from .kappa import KappaRational, kappa_all_zero, kappa_sum, poly_linear, poly_neg, share_den
 from .rootsystem import (
     TRIALITY_MAPS,
     apply_triality,
@@ -44,8 +48,7 @@ from .rootsystem import (
 from .zpoly import ZPolynomial, from_rows, to_rows
 
 
-@dataclass(frozen=True)
-class ConeElement:
+class ConeElement(NamedTuple):
     mu: tuple  # simple-root coordinates
     weight: tuple  # the same shift in weight coordinates
     exponent: tuple  # m - weight, componentwise >= 0
@@ -80,10 +83,10 @@ def support_cone(m) -> SupportCone:
                 for n4 in range(0, (m4 + n2) // 2 + 1):
                     if e2 + n4 < 0:
                         continue
-                    mu = (n1, n2, n3, n4)
-                    w = root_to_weight(mu)
+                    # the weight of mu, as rootsystem.root_to_weight has it
+                    w = (2 * n1 - n2, 2 * n2 - n1 - n3 - n4, 2 * n3 - n2, 2 * n4 - n2)
                     exp = (m1 - w[0], m2 - w[1], m3 - w[2], m4 - w[3])
-                    elems.append(ConeElement(mu, w, exp, n1 + n2 + n3 + n4))
+                    elems.append(ConeElement((n1, n2, n3, n4), w, exp, n1 + n2 + n3 + n4))
     elems.sort(key=lambda el: (el.height, el.mu))
     if not elems or elems[0].mu != (0, 0, 0, 0):
         raise InternalInconsistency(f"support cone of {m} misses the origin")
@@ -123,31 +126,32 @@ class CSPolynomial:
 _CACHE: dict = {}
 
 
-def _walk(m, one, dot, lift, divide) -> tuple:
+def _walk(m, one, lift, quotient) -> tuple:
     """The one pass over the cone of m, over a pluggable scalar.
 
     The cone is visited in its (height, mu) order.  A first pass maps each
     exponent to the first member of its orbit under the triality
     permutations that fix m; that member is the orbit minimum, and with a
-    trivial stabilizer every exponent is its own.  At an orbit minimum z^e
-    the pairs (c, a) collected for it are summed once by ``dot`` and, past
-    height 0 (where the coefficient is ``one``), ``divide`` takes the sum
-    over eps(m) - eps(e), eps(e) read off the diagonal of L z^e.  Every
-    minimum reaches ``divide``, whether or not pairs were pushed to it.  A
-    zero quotient is a zero coefficient.  Then, for every distinct member
-    g = sigma e of the orbit, each off-diagonal term a*z^f of L z^e gives
-    the term a*z^(sigma f) of L z^g (a is an integer polynomial c0 + c1*k
-    in the coupling: the operator's coefficients are), and the pair
-    (c, lift(a)) is appended to ``pending`` when sigma f is an orbit
-    minimum.  Any other member of an orbit takes the minimum's coefficient
-    object itself, at its own place in cone order, with no evaluation of L.
-    Every term must land on an exponent visited later: anything left in
-    ``pending`` was reached out of order or outside the cone, and raises
-    :class:`InternalInconsistency`.  Returns the tables mu -> c and
-    exponent -> c of the nonzero coefficients, both in cone order.
+    trivial stabilizer every exponent is its own.  At an orbit minimum z^e,
+    L z^e is read as integer pairs (c0, c1), meaning c0 + c1*k
+    (:func:`csd4.hamiltonian.monomial_image`).  Past height 0 (where the
+    coefficient is ``one``), ``quotient`` takes the pairs (c, a) collected
+    for z^e and the eigenvalue difference eps(m) - eps(e) as a pair, and
+    returns the sum of the c*a over that difference.  Every minimum reaches
+    ``quotient``, whether or not pairs were pushed to it.  A zero quotient is
+    a zero coefficient.  Then, for every distinct member g = sigma e of the
+    orbit, each off-diagonal term a*z^f of L z^e gives the term a*z^(sigma f)
+    of L z^g, and the pair (c, lift(a)) is appended to ``pending`` when
+    sigma f is an orbit minimum.  Any other member of an orbit takes the
+    minimum's coefficient object itself, at its own place in cone order,
+    with no evaluation of L.  Every term must land on an exponent visited
+    later: anything left in ``pending`` was reached out of order or outside
+    the cone, and raises :class:`InternalInconsistency`.  Returns the tables
+    mu -> c and exponent -> c of the nonzero coefficients, both in cone
+    order.
     """
     cone = support_cone(m)
-    eps_m = hamiltonian.eigenvalue(m)
+    eps0, eps1 = hamiltonian.monomial_image(m)[0]
     # sigma e as a tuple lookup, one per permutation fixing m (identity first)
     moves = [itemgetter(*apply_triality((0, 1, 2, 3), sigma))
              for sigma in TRIALITY_MAPS if apply_triality(m, sigma) == m]
@@ -169,22 +173,22 @@ def _walk(m, one, dot, lift, divide) -> tuple:
             if c is not None:
                 coeffs[el.mu] = terms[e] = c
             continue
-        image = hamiltonian.apply_to_monomial(e).terms
+        (d0, d1), image = hamiltonian.monomial_image(e)
         c = one
         if el.height:
-            denom = eps_m - image.get(e, 0)
-            if not denom:
+            denom = (eps0 - d0, eps1 - d1)
+            if denom == (0, 0):
                 raise InternalInconsistency(
                     f"vanishing symbolic eigenvalue difference at mu={el.mu}"
                 )
-            c = divide(dot(pending.pop(e, ())), denom)
+            c = quotient(pending.pop(e, ()), denom)
             if not c:
                 continue  # the coefficient vanishes
         coeffs[el.mu] = terms[e] = c
         # L z^(sigma e) = sigma(L z^e) for each distinct member sigma e.  A
         # term landing off an orbit minimum is dropped: its mirror image on
         # the minimum comes from another member.
-        pushes = [(f, lift(a)) for f, a in image.items() if f != e]
+        pushes = [(f, lift(*a)) for f, a in image]
         for move in {move(e): move for move in moves}.values():
             for f, a in pushes:
                 f = move(f)
@@ -201,22 +205,23 @@ def solve(m) -> CSPolynomial:
     """Compute the eigenpolynomial for dominant quantum numbers m.
 
     One :func:`_walk` with coefficients rational functions of the coupling:
-    the pairs are summed by :func:`csd4.kappa.kappa_sum`, and coefficients
-    with equal denominators share one expanded ``den``
-    (:func:`csd4.kappa.share_den`).  The result is cached, and its tables
-    are read-only.
+    each coefficient is one :func:`csd4.kappa.kappa_sum` of its pairs over
+    its eigenvalue difference, and coefficients with equal denominators
+    share one expanded ``den`` (:func:`csd4.kappa.share_den`).  The walk
+    makes no other arithmetic on rational functions.  The result is cached,
+    and its tables are read-only.
     """
     m = check_dominant(m)
     if m in _CACHE:
         return _CACHE[m]
     dens: dict = {}  # the distinct denominators met so far, for share_den
 
-    def divide(c, denom):
+    def quotient(pairs, denom):
         # Expand each distinct denominator here, once, not at a caller's
         # first use.
-        return share_den(c / denom, dens)
+        return share_den(kappa_sum(pairs, poly_linear(*denom)), dens)
 
-    coeffs, terms = _walk(m, KappaRational(1), kappa_sum, attrgetter("num"), divide)
+    coeffs, terms = _walk(m, KappaRational(1), poly_linear, quotient)
     # Every caller shares the cached result, so its tables are read-only.
     poly = ZPolynomial(MappingProxyType(terms), _raw=True)
     result = CSPolynomial(m, hamiltonian.eigenvalue(m), MappingProxyType(coeffs), poly)
@@ -243,18 +248,18 @@ def solve_at(m, kappa0) -> ZPolynomial:
     if m in _CACHE:
         return specialize(_CACHE[m], kappa0)
 
-    def dot(pairs):
-        return sum(c * a for c, a in pairs)
+    def lift(c0, c1):
+        return c0 + c1 * kappa0
 
-    def divide(c, denom):
+    def quotient(pairs, denom):
         # checked even for a zero sum: 0/0 is no value
-        d = denom.substitute(kappa0)
+        d = lift(*denom)
         if not d:
             raise PoleAtKappa(kappa0)
-        return c / d
+        return sum(c * a for c, a in pairs) / d
 
     try:
-        _, terms = _walk(m, Fraction(1), dot, methodcaller("substitute", kappa0), divide)
+        _, terms = _walk(m, Fraction(1), lift, quotient)
     except PoleAtKappa:
         return specialize(solve(m), kappa0)
     return ZPolynomial({e: KappaRational.from_fraction(c) for e, c in terms.items()},

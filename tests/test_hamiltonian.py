@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from csd4 import hamiltonian as ham
 from csd4 import rootsystem as rs
+from csd4 import solver
 from csd4.kappa import KappaRational, kappa_linear
 from csd4.zpoly import Z1, Z2, Z3, ZPolynomial
 
@@ -160,11 +162,34 @@ def test_derivation_rejects_unrepresentable_entry(monkeypatch, coeff, exps):
         ham._derive()
 
 
+def test_integer_evaluator_matches_both_routes():
+    # The walk's evaluator against the polynomial wrapper and against
+    # generic differentiation, on every exponent with entries <= 4.
+    for e in itertools.product(range(5), repeat=4):
+        eps, image = ham.monomial_image(e)
+        assert all(isinstance(x, int) for _, pair in image for x in (*pair, *eps))
+        assert all(pair != (0, 0) for _, pair in image)
+        pairs = {f: kappa_linear(*pair) for f, pair in image}
+        if eps != (0, 0):
+            pairs[e] = kappa_linear(*eps)
+        assert len(pairs) == len(image) + (eps != (0, 0))
+        assert ham.apply_to_monomial(e).terms == pairs, e
+        assert ham.apply(ZPolynomial.monomial(e)).terms == pairs, e
+
+
 def test_monomial_route_rejects_invalid_exponent(monkeypatch):
+    # The evaluator reads _SHIFTED when called, so both walks meet the term.
     always = (rs.root_to_weight((1, 0, 0, 0)), [(1, 0, ())])  # the constant 1
     monkeypatch.setattr(ham, "_SHIFTED", (always,))
-    with pytest.raises(ArithmeticError):
-        ham.apply_to_monomial((0, 0, 0, 0))
+    routes = [ham.monomial_image, ham.apply_to_monomial, solver.solve,
+              lambda m: solver.solve_at(m, Fraction(7, 10))]
+    solver.clear_cache()
+    try:
+        for route in routes:
+            with pytest.raises(ArithmeticError):
+                route((0, 0, 0, 0))
+    finally:
+        solver.clear_cache()
 
 
 def test_monomial_shifts_stay_in_root_cone():

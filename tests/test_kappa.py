@@ -371,8 +371,9 @@ def test_kappa_sum_matches_gcd_reference(data):
     pool = data.draw(
         st.lists(st.sampled_from(LINEAR), min_size=3, max_size=3, unique=True)
     )
-    # Only with linear factors and weights does the sum test some factors
-    # and not all, so each example draws one of three regimes.
+    # The packed pre-test skips only linear factors, and a quadratic weight
+    # or an opaque quadratic factor change what may cancel, so each example
+    # draws one of three regimes.
     regime = data.draw(st.sampled_from(["linear", "quadratic weight", "opaque"]))
     quadratics = QUADRATICS if regime == "opaque" else ()
     kinds = LINEAR_WEIGHTS if regime == "linear" else [*LINEAR_WEIGHTS, "product"]
@@ -387,9 +388,49 @@ def test_kappa_sum_matches_gcd_reference(data):
     total = kappa_sum(terms)
     assert (total.num, total.den) == gcd_reference(raw_num, raw_den)
     # A term cancelling a prefix leaves factors that several terms carry at
-    # their top multiplicity, which the restricted test must still cancel.
+    # their top multiplicity, which the pre-tested reduction must still cancel.
     j = data.draw(st.integers(0, len(terms)))
     assert kappa_sum([*terms, (-kappa_sum(terms[:j]), (1,))]) == kappa_sum(terms[j:])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_kappa_sum_over_a_divisor_is_the_quotient(data):
+    pool = data.draw(
+        st.lists(st.sampled_from(LINEAR), min_size=3, max_size=3, unique=True)
+    )
+    quadratics = data.draw(st.sampled_from([(), QUADRATICS]))  # opaque factors in c
+    drawn = data.draw(
+        st.lists(factored_operands(pool, quadratics), min_size=0, max_size=4)
+    )
+    kinds = [*LINEAR_WEIGHTS, "product"]
+    pairs = [(x, data.draw(weights(pool, x, kinds))) for x, _, _ in drawn]
+    # A constant, a pool factor (perhaps in the lcm already) or one that no
+    # term carries; a negative scale gives a negative slope.
+    scale = data.draw(st.integers(-6, 6).filter(bool))
+    kind = data.draw(st.sampled_from(["constant", "pool", "other"]))
+    shape = {"constant": (1,), "pool": data.draw(st.sampled_from(pool)), "other": (5, 7)}
+    over = poly_scale(shape[kind], scale)
+    how = data.draw(st.sampled_from(["as drawn", "cancelled by over", "zero"]))
+    if how == "cancelled by over":  # over divides the numerator
+        pairs = [(x, poly_mul(a, over)) for x, a in pairs]
+    elif how == "zero":
+        pairs += [(-x, a) for x, a in pairs]
+    got = kappa_sum(pairs, over)
+    assert got == kappa_sum(pairs) / KappaRational(over)
+    assert got == KappaRational(*gcd_reference(got.num, got.den))
+    if how == "zero":
+        assert not got
+
+
+def test_kappa_sum_is_not_fooled_at_a_packing_point():
+    # A factor k - 2^b packs to 0 at width b; it must still be tried.
+    one = KappaRational(1)
+    for b in range(1, 80):
+        f = (-(1 << b), 1)
+        assert kappa_sum([(one / KappaRational(f), f)]) == one
+        assert kappa_sum([(one, f)], f) == one
+        assert kappa_sum([(one / KappaRational(f), (1,))], f) == KappaRational(1, poly_mul(f, f))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

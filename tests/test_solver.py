@@ -171,8 +171,9 @@ def test_verify_eigen_rejects(case):
 
 def test_verify_eigen_sums_without_pairwise_add(monkeypatch):
     # L P - eps P is zero-tested in one kappa_all_zero, never summed term by
-    # term with KappaRational + nor one kappa_sum per monomial; the only
-    # products are the terms of the 14 derivatives of P.
+    # term with KappaRational + nor one kappa_sum per monomial; the integers
+    # the 14 derivatives of P bring down ride in the integer weights, so no
+    # KappaRational product is formed either.
     p = solver.solve((2, 2, 2, 2))
     calls = {"__add__": 0, "__mul__": 0, "kappa_sum": 0, "kappa_all_zero": 0}
     for name in ("__add__", "__mul__"):
@@ -188,7 +189,7 @@ def test_verify_eigen_sums_without_pairwise_add(monkeypatch):
     assert solver.verify_eigen(p)
     assert calls["__add__"] == calls["kappa_sum"] == 0
     assert calls["kappa_all_zero"] == 1
-    assert 0 < calls["__mul__"] <= 14 * len(p.polynomial)
+    assert calls["__mul__"] == 0
 
 
 def test_solve_triality_covariance():
@@ -232,6 +233,25 @@ WALKS = {
     "symbolic": lambda m: solver.solve(m).polynomial,
     "field": lambda m: solver.solve_at(m, Fraction(7, 10)),
 }
+
+
+@pytest.mark.parametrize("walk", WALKS.values(), ids=WALKS.keys())
+def test_walk_makes_no_rational_function_arithmetic(monkeypatch, walk):
+    # The walk reads L as integer pairs and forms each coefficient in one
+    # kappa_sum over its eigenvalue difference (or in Fraction at a value).
+    calls = []
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__truediv__", "__rtruediv__", "inverse"):
+        def counted(*args, _op=getattr(KappaRational, name), _name=name):
+            calls.append(_name)
+            return _op(*args)
+        monkeypatch.setattr(KappaRational, name, counted)
+    solver.clear_cache()
+    try:
+        assert walk((2, 2, 2, 2))
+    finally:
+        solver.clear_cache()
+    assert calls == []
 
 
 @pytest.mark.parametrize("walk", WALKS.values(), ids=WALKS.keys())
@@ -405,12 +425,13 @@ def test_shared_coefficients_render_once(monkeypatch):
 def test_solve_rejects_a_term_out_of_order(monkeypatch, extra, walk):
     # A term that L sends back to an exponent already solved, or outside the
     # cone, is left over after the pass and must not be silently dropped.
-    real = ham.apply_to_monomial
+    real = ham.monomial_image
 
     def tampered(e):
-        return real(e) + ZPolynomial.monomial(extra, 1)
+        eps, image = real(e)
+        return eps, [*image, (extra, (1, 0))]
 
-    monkeypatch.setattr(ham, "apply_to_monomial", tampered)
+    monkeypatch.setattr(ham, "monomial_image", tampered)
     solver.clear_cache()
     try:
         with pytest.raises(InternalInconsistency):

@@ -1,5 +1,6 @@
-"""The runtime imports nothing outside the standard library and csd4, and
-csd4's modules import one another without a cycle."""
+"""The runtime imports nothing outside the standard library and csd4,
+csd4's modules import one another without a cycle, and every name a module
+imports is used."""
 
 import ast
 import sys
@@ -58,3 +59,22 @@ def test_package_import_graph_is_acyclic():
     for node in sorted(graph):
         visit(node, [])
     assert not cycles
+
+
+def test_every_top_level_import_is_used():
+    # A lint in place of pyflakes: each name a module binds by a top-level
+    # import is read in that module or listed in its __all__.
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported, exported = [], set()
+        for node in tree.body:
+            if isinstance(node, ast.Import) or (
+                    isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+                imported += [(a.asname or a.name).partition(".")[0] for a in node.names]
+            elif isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                exported = set(ast.literal_eval(node.value))
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unused += [(path.name, name) for name in imported if name not in read | exported]
+    assert not unused
