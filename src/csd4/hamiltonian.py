@@ -17,16 +17,16 @@ stays the independent reference.  :func:`apply` collects the pairs
 (c, n*a) of a coefficient c of p, the integer n its derivative brings
 down and a coefficient a of the table under their output monomial, and
 sums each monomial once, with :func:`~csd4.kappa.kappa_sum`, so it forms
-no product of rational functions; :func:`csd4.solver.verify_eigen` adds
--eps P to the same pairs and tests that every sum, so (L - eps) P, is
-zero, in one :func:`~csd4.kappa.kappa_all_zero`.
-The table itself is checked independently, by the finite-difference operator
-on the torus (:mod:`csd4.qspace`) and against the energy's quadratic form.
+no product of rational functions; :func:`annihilates` adds -eps p to the
+same pairs and zero-tests every sum, so (L - eps) p, in one
+:func:`~csd4.kappa.kappa_all_zero`.  The table itself is checked
+independently, by the finite-difference operator on the torus
+(:mod:`csd4.qspace`) and against the energy's quadratic form.
 """
 
 from __future__ import annotations
 
-from .kappa import KappaRational, kappa_linear, kappa_sum, poly_scale
+from .kappa import KappaRational, kappa_all_zero, kappa_linear, kappa_sum, poly_neg, poly_scale
 from .rootsystem import check_dominant, weight_to_root
 from .zpoly import ZPolynomial
 
@@ -93,6 +93,20 @@ def apply(p: ZPolynomial) -> ZPolynomial:
         if c:
             out[f] = c
     return ZPolynomial(out, _raw=True)
+
+
+def annihilates(p: ZPolynomial, eps: KappaRational) -> bool:
+    """Exact check that (L - eps) p is zero: -eps p joins the pairs of
+    :func:`apply`, and every sum is zero-tested in one
+    :func:`~csd4.kappa.kappa_all_zero`, which reduces none."""
+    if eps.den != (1,):
+        # The eigenvalues of the triangular L are the polynomials eps(e).
+        return not p
+    pairs = _apply_pairs(p)
+    minus_eps = poly_neg(eps.num)
+    for e, c in p.terms.items():
+        pairs.setdefault(e, []).append((c, minus_eps))
+    return kappa_all_zero(pairs.values())
 
 
 def _group_value(terms, e) -> tuple:

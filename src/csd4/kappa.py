@@ -10,21 +10,21 @@ Every denominator the solver meets is a product of eigenvalue differences
 stored factored: a positive integer content times primitive factors
 ``a + b*k`` (``b > 0``), each with a multiplicity; a product by an integer
 shares its operand's dict.  A sum takes the lcm of the factor multisets and
-multiplies each numerator up to it.  Binary ``+`` sums two terms, one pass
-per linear factor.  :func:`kappa_sum` is the solver's dot product
-sum(c * a) of n coefficients c with integer polynomials a, divided by the
-eigenvalue difference of its step, with one lcm (the divisor's content and
-factor folded in) and one reduction; it multiplies by packing each
-polynomial into one integer (Kronecker substitution), and a linear factor
-is tested against the sum only where its packed value divides the packed
-sum.  :func:`kappa_all_zero` zero-tests a batch of such sums over one lcm
-and one packing, with no reduction.  A sum or a product is brought to
+multiplies each numerator by what its own denominator lacks of it (``_up``,
+the one step of binary ``+`` and :func:`kappa_common_den`).  :func:`kappa_sum`
+is the solver's dot product sum(c * a) of n coefficients c with integer
+polynomials a, divided by the eigenvalue difference of its step, with one lcm
+(the divisor's content and factor folded in) and one reduction; it multiplies
+by packing each polynomial into one integer (Kronecker substitution), and a
+linear factor is tested against the sum only where its packed value divides
+the packed sum.  :func:`kappa_all_zero` zero-tests a batch of such sums over
+one lcm and one packing, with no reduction.  A sum or a product is brought to
 lowest terms by testing each factor against the numerator with one exact
-synthetic division, and the content with one integer gcd.  The general
-gcd :func:`poly_gcd` runs only on a denominator of degree >= 2 that
-arrives with no known factorization: from a string, from the constructor,
-or from the inverse of a non-linear numerator.  Such a polynomial is kept
-as one more factor and cancelled by the same code.
+synthetic division, and the content with one integer gcd.  The general gcd
+:func:`poly_gcd` runs only on a denominator of degree >= 2 that arrives with
+no known factorization: from a string, from the constructor, or from the
+inverse of a non-linear numerator.  Such a polynomial is kept as one more
+factor and cancelled by the same code.
 
 Polynomials are stored as tuples of integer coefficients, lowest degree
 first, with no trailing zeros; the empty tuple is the zero polynomial.
@@ -309,30 +309,15 @@ class KappaRational:
         if not other.num:
             return self
         # Knuth's scheme with the lcm of the factored denominators: bring
-        # both numerators to it, add, and cancel what the sum shares.
-        c1, c2 = self._content, other._content
-        g = math.gcd(c1, c2)
-        n1 = poly_scale(self.num, c2 // g)
-        n2 = poly_scale(other.num, c1 // g)
-        f1, f2 = self._factors, other._factors
-        factors = dict(f1)
-        for f, e in f2.items():
-            e1 = f1.get(f, 0)
-            if e > e1:
-                factors[f] = e
-                n1 = _mul_factor(n1, f, e - e1)
-            elif e < e1:
-                n2 = _mul_factor(n2, f, e1 - e)
-        for f, e in f1.items():
-            if f not in f2:
-                n2 = _mul_factor(n2, f, e)
-        # When every factor is linear, hence irreducible and coprime to the
-        # others, only one that both denominators carry to the same power
-        # can divide the sum.
-        test = None
-        if all(len(f) == 2 for f in factors):
-            test = [f for f, e in f2.items() if f1.get(f) == e]
-        return _reduce(poly_add(n1, n2), c1 // g * c2, factors, test)
+        # both numerators up to it and add.  When every factor is linear,
+        # hence irreducible and coprime to the others, only one that both
+        # denominators carry to the same power can divide the sum.
+        content, top, _ = _lcm((self, other))
+        fs = self._factors
+        test = ([f for f, e in other._factors.items() if fs.get(f) == e]
+                if all(len(f) == 2 for f in top) else None)
+        return _reduce(poly_add(_up(self, content, top), _up(other, content, top)),
+                       content, top, test)
 
     __radd__ = __add__
 
@@ -628,10 +613,18 @@ def kappa_all_zero(sums) -> bool:
     return not any(sum(xc[id(c)] * xa[id(a)] for c, a in ps) for ps in sums)
 
 
+def _up(c: KappaRational, content: int, top: dict) -> IntPoly:
+    """c.num times what c's denominator lacks of the lcm (content, top) of _lcm."""
+    num, fs, s = c.num, c._factors, content // c._content
+    for f, e in top.items():
+        num = _mul_factor(num, f, e - fs.get(f, 0))
+    return poly_scale(num, s) if s != 1 else num
+
+
 def kappa_common_den(cs) -> tuple:
     """(d, [n for c in cs]) in Z[k], each c == n / d, d the lcm of the factored dens."""
-    d = _make(_ONE, *_lcm(cs)[:2]).den
-    return d, [poly_div_exact(poly_mul(c.num, d), c.den) for c in cs]
+    content, top, _ = _lcm(cs)
+    return _make(_ONE, content, top).den, [_up(c, content, top) for c in cs]
 
 
 def share_den(x: KappaRational, seen: dict) -> KappaRational:

@@ -36,7 +36,7 @@ from typing import NamedTuple
 
 from . import hamiltonian
 from .errors import InternalInconsistency, PoleAtKappa
-from .kappa import KappaRational, kappa_all_zero, kappa_sum, poly_linear, poly_neg, share_den
+from .kappa import KappaRational, kappa_sum, poly_linear, share_den
 from .rootsystem import (
     TRIALITY_MAPS,
     apply_triality,
@@ -50,22 +50,13 @@ from .zpoly import ZPolynomial, from_rows, to_rows
 
 class ConeElement(NamedTuple):
     mu: tuple  # simple-root coordinates
-    weight: tuple  # the same shift in weight coordinates
-    exponent: tuple  # m - weight, componentwise >= 0
+    exponent: tuple  # m minus the weight of mu, componentwise >= 0
     height: int
 
 
-@dataclass(frozen=True)
-class SupportCone:
-    m: tuple
-    elements: tuple  # ConeElement, sorted by (height, mu)
-
-    def __len__(self):
-        return len(self.elements)
-
-
-def support_cone(m) -> SupportCone:
-    """Enumerate all admissible shifts for quantum numbers m.
+def support_cone(m) -> tuple:
+    """All admissible shifts for quantum numbers m, as ConeElements sorted
+    by (height, mu).
 
     Bounds: each exponent constraint caps n1, n3, n4 by (m_i + n2)/2, and
     feeding those caps into the e2 constraint caps n2 itself, so the
@@ -86,11 +77,11 @@ def support_cone(m) -> SupportCone:
                     # the weight of mu, as rootsystem.root_to_weight has it
                     w = (2 * n1 - n2, 2 * n2 - n1 - n3 - n4, 2 * n3 - n2, 2 * n4 - n2)
                     exp = (m1 - w[0], m2 - w[1], m3 - w[2], m4 - w[3])
-                    elems.append(ConeElement((n1, n2, n3, n4), w, exp, n1 + n2 + n3 + n4))
+                    elems.append(ConeElement((n1, n2, n3, n4), exp, n1 + n2 + n3 + n4))
     elems.sort(key=lambda el: (el.height, el.mu))
     if not elems or elems[0].mu != (0, 0, 0, 0):
         raise InternalInconsistency(f"support cone of {m} misses the origin")
-    return SupportCone(m, tuple(elems))
+    return tuple(elems)
 
 
 @dataclass(frozen=True)
@@ -156,7 +147,7 @@ def _walk(m, one, lift, quotient) -> tuple:
     moves = [itemgetter(*apply_triality((0, 1, 2, 3), sigma))
              for sigma in TRIALITY_MAPS if apply_triality(m, sigma) == m]
     minimum: dict = {}  # exponent -> its orbit minimum, for the others only
-    for el in cone.elements:
+    for el in cone:
         if el.exponent not in minimum:
             for move in moves[1:]:
                 g = move(el.exponent)
@@ -166,7 +157,7 @@ def _walk(m, one, lift, quotient) -> tuple:
     pending: dict = {}  # orbit minimum -> the terms pushed onto it, summed at pop
     coeffs: dict = {}
     terms: dict = {}
-    for el in cone.elements:
+    for el in cone:
         e = el.exponent
         if e in minimum:
             c = terms.get(minimum[e])
@@ -284,15 +275,5 @@ def specialize(p: CSPolynomial, kappa0) -> ZPolynomial:
 
 
 def verify_eigen(p: CSPolynomial) -> bool:
-    """Exact check that (L - eps) P is zero, L applied by generic
-    differentiation (:func:`csd4.hamiltonian.apply`): its coefficients are
-    zero-tested in one :func:`~csd4.kappa.kappa_all_zero`, which reduces none."""
-    eps = p.eigenvalue
-    if eps.den != (1,):
-        # The eigenvalues of the triangular L are the polynomials eps(e).
-        return not p.polynomial
-    pairs = hamiltonian._apply_pairs(p.polynomial)
-    minus_eps = poly_neg(eps.num)
-    for e, c in p.polynomial.terms.items():
-        pairs.setdefault(e, []).append((c, minus_eps))
-    return kappa_all_zero(pairs.values())
+    """Exact check that (L - eps) P is zero (:func:`csd4.hamiltonian.annihilates`)."""
+    return hamiltonian.annihilates(p.polynomial, p.eigenvalue)

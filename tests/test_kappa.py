@@ -466,6 +466,14 @@ def test_kappa_all_zero_matches_kappa_sum(data):
     d, nums = kappa_common_den(xs)
     assert d[-1] > 0
     assert [KappaRational(n, d) for n in nums] == xs
+    # Over linear factors d is the least common denominator: the cofactors
+    # d / x.den share no factor.  An unfactored polynomial is one more factor,
+    # taken as coprime to the rest, so there d may exceed the least.
+    if all(len(f) == 2 for x in xs for f in x._factors):
+        g = ()
+        for x in xs:
+            g = poly_gcd(g, poly_div_exact(d, x.den))
+        assert g == (1,)
 
 
 def test_kappa_all_zero_is_not_fooled_at_a_packing_point():

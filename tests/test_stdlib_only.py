@@ -1,6 +1,6 @@
 """The runtime imports nothing outside the standard library and csd4,
-csd4's modules import one another without a cycle, and every name a module
-imports is used."""
+csd4's modules import one another without a cycle, every name a module
+imports is used, and no module reaches into another's private names."""
 
 import ast
 import sys
@@ -78,3 +78,30 @@ def test_every_top_level_import_is_used():
         read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
         unused += [(path.name, name) for name in imported if name not in read | exported]
     assert not unused
+
+
+def _private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def test_no_module_reads_another_modules_private_names():
+    # A lint: no csd4 module reads <csd4 module>._name or imports a _name
+    # from another csd4 module; what two modules share is public.
+    modules = {path.stem for path in SRC.glob("*.py")}
+    reach = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        aliases = set()  # the names this module binds to csd4 modules
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").partition(".")[0] == "csd4"):
+                package = node.module in (None, "csd4")
+                for a in node.names:
+                    if package and a.name in modules:
+                        aliases.add(a.asname or a.name)
+                    elif _private(a.name):
+                        reach.append((path.name, f"import {a.name}"))
+        reach += [(path.name, f"{n.value.id}.{n.attr}") for n in ast.walk(tree)
+                  if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+                  and n.value.id in aliases and _private(n.attr)]
+    assert not reach
