@@ -121,17 +121,15 @@ def build(label: str) -> RationalGF:
     return RationalGF(label, num, DENOMINATOR, kappa, row)
 
 
-def expand(gf, order: int) -> TauSeries:
+def expand(label: str, order: int) -> TauSeries:
     """Truncated series of the rational function up to t^order."""
-    if isinstance(gf, str):
-        gf = build(gf)
+    gf = build(label)
     return TauSeries(gf.numerator, order) / TauSeries(gf.denominator, order)
 
 
-def target_coefficient(gf, m: int) -> ZPolynomial:
+def target_coefficient(label: str, m: int) -> ZPolynomial:
     """The solver-side value the t^m series coefficient must reproduce."""
-    if isinstance(gf, str):
-        gf = build(gf)
+    gf = build(label)
     if gf.row == 0 and m == 0:
         return ZPolynomial.constant(8 if gf.kappa == 0 else 1)
     quantum = (m, gf.row, 0, 0)
@@ -140,12 +138,8 @@ def target_coefficient(gf, m: int) -> ZPolynomial:
 
 def series_check(label: str, order: int) -> list:
     """Per-coefficient comparison against the solver; list of (m, ok)."""
-    gf = build(label)
-    series = expand(gf, order)
-    out = []
-    for m in range(order + 1):
-        out.append((m, series.coeffs[m] == target_coefficient(gf, m)))
-    return out
+    series = expand(label, order)
+    return [(m, series.coeffs[m] == target_coefficient(label, m)) for m in range(order + 1)]
 
 
 def pde_residual(label: str, order: int) -> TauSeries:
@@ -158,7 +152,7 @@ def pde_residual(label: str, order: int) -> TauSeries:
     if label not in ("F0", "F1"):
         raise KeyError(f"no differential equation is checked for {label!r}")
     gf = build(label)
-    series = expand(gf, order)
+    series = expand(label, order)
     half = KappaRational(1, 2)
     kappa0 = Fraction(gf.kappa)
     out = []

@@ -2,8 +2,8 @@
 
 After factoring out the ground-state wavefunction and changing variables to
 the four fundamental characters z1..z4, the Hamiltonian becomes a second
-order differential operator L with polynomial coefficients, typed once in
-the table ``_SECOND``/``_FIRST``.  It is normalized so that L P = eps(m) P on
+order differential operator L with polynomial coefficients, ``_TABLE``,
+typed once per triality orbit.  It is normalized so that L P = eps(m) P on
 the eigenpolynomial with quantum numbers m, eps the excitation energy.
 
 Two algorithms run over that table: generic differentiation (:func:`apply`),
@@ -27,34 +27,32 @@ independently, by the finite-difference operator on the torus
 from __future__ import annotations
 
 from .kappa import KappaRational, kappa_all_zero, kappa_linear, kappa_sum, poly_neg, poly_scale
-from .rootsystem import check_dominant, weight_to_root
+from .rootsystem import TRIALITY_MAPS, check_dominant, weight_to_root
 from .zpoly import ZPolynomial
 
 
-# Coefficients of L, with second-order cross terms listed once for j < k.
-_SECOND = {
+def _by_triality(typed: dict) -> dict:
+    """Triality commutes with L, so the table holds each typed entry's images
+    under TRIALITY_MAPS; the first image of each key is kept."""
+    table: dict = {}
+    for key, coeff in typed.items():
+        for sigma in TRIALITY_MAPS:
+            image = tuple(sorted(sigma[j] for j in key))
+            table.setdefault(image, coeff.permute_variables(sigma))
+    return table
+
+
+# Coefficients of L, keyed by the variables differentiated: (j, k), j <= k, or (j,).
+_TABLE = _by_triality({
     (1, 1): ZPolynomial({(2, 0, 0, 0): 2, (0, 1, 0, 0): -4, (0, 0, 0, 0): -16}),
     (2, 2): ZPolynomial({(0, 2, 0, 0): 4, (2, 0, 0, 0): -8, (0, 0, 2, 0): -8,
                          (0, 0, 0, 2): -8, (1, 0, 1, 1): -4, (0, 1, 0, 0): 16}),
-    (3, 3): ZPolynomial({(0, 0, 2, 0): 2, (0, 1, 0, 0): -4, (0, 0, 0, 0): -16}),
-    (4, 4): ZPolynomial({(0, 0, 0, 2): 2, (0, 1, 0, 0): -4, (0, 0, 0, 0): -16}),
     (1, 2): ZPolynomial({(1, 1, 0, 0): 4, (0, 0, 1, 1): -12, (1, 0, 0, 0): -16}),
     (1, 3): ZPolynomial({(1, 0, 1, 0): 2, (0, 0, 0, 1): -16}),
-    (1, 4): ZPolynomial({(1, 0, 0, 1): 2, (0, 0, 1, 0): -16}),
-    (2, 3): ZPolynomial({(0, 1, 1, 0): 4, (1, 0, 0, 1): -12, (0, 0, 1, 0): -16}),
-    (2, 4): ZPolynomial({(0, 1, 0, 1): 4, (1, 0, 1, 0): -12, (0, 0, 0, 1): -16}),
-    (3, 4): ZPolynomial({(0, 0, 1, 1): 2, (1, 0, 0, 0): -16}),
-}
-
-_FIRST = {
-    1: ZPolynomial.monomial((1, 0, 0, 0), kappa_linear(2, 12)),
-    2: ZPolynomial({
-        (0, 1, 0, 0): kappa_linear(4, 20),
-        (0, 0, 0, 0): kappa_linear(-16, 16),
-    }),
-    3: ZPolynomial.monomial((0, 0, 1, 0), kappa_linear(2, 12)),
-    4: ZPolynomial.monomial((0, 0, 0, 1), kappa_linear(2, 12)),
-}
+    (1,): ZPolynomial.monomial((1, 0, 0, 0), kappa_linear(2, 12)),
+    (2,): ZPolynomial({(0, 1, 0, 0): kappa_linear(4, 20),
+                       (0, 0, 0, 0): kappa_linear(-16, 16)}),
+})
 
 
 def _apply_pairs(p: ZPolynomial) -> dict:
@@ -62,23 +60,21 @@ def _apply_pairs(p: ZPolynomial) -> dict:
     pairs (c, n*a): c a coefficient of p at z^e, n the integer the derivative
     of z^e brings down (e_j, or e_j (e_k - delta_jk)), a the integer c0 + c1*k
     of a term of the table (:func:`_derive` rejects any other entry)."""
-    table = [*_SECOND.items(), *(((j,), coeff) for j, coeff in _FIRST.items())]
     scaled: dict = {}  # (n, a) -> n*a, one tuple per distinct weight
     pairs: dict = {}
-    for key, coeff in table:
-        for a, ca in coeff.terms.items():
-            num = ca.num
-            for e, c in p.terms.items():
-                d = list(e)
-                n = 1
-                for j in key:
-                    n *= d[j - 1]
-                    d[j - 1] -= 1
-                if not n:
-                    continue
-                w = scaled.get((n, num))
+    for key, coeff in _TABLE.items():
+        for e, c in p.terms.items():
+            d = list(e)
+            n = 1
+            for j in key:
+                n *= d[j - 1]
+                d[j - 1] -= 1
+            if not n:
+                continue
+            for a, ca in coeff.terms.items():
+                w = scaled.get((n, ca.num))
                 if w is None:
-                    w = scaled[n, num] = poly_scale(num, n)
+                    w = scaled[n, ca.num] = poly_scale(ca.num, n)
                 f = (d[0] + a[0], d[1] + a[1], d[2] + a[2], d[3] + a[3])
                 pairs.setdefault(f, []).append((c, w))
     return pairs
@@ -96,9 +92,8 @@ def apply(p: ZPolynomial) -> ZPolynomial:
 
 
 def annihilates(p: ZPolynomial, eps: KappaRational) -> bool:
-    """Exact check that (L - eps) p is zero: -eps p joins the pairs of
-    :func:`apply`, and every sum is zero-tested in one
-    :func:`~csd4.kappa.kappa_all_zero`, which reduces none."""
+    """Exact check that (L - eps) p is zero: -eps p joins the pairs of :func:`apply`,
+    and one :func:`~csd4.kappa.kappa_all_zero`, which reduces none, tests every sum."""
     if eps.den != (1,):
         # The eigenvalues of the triangular L are the polynomials eps(e).
         return not p
@@ -134,7 +129,7 @@ def _derive() -> tuple:
     a shift off the root lattice (weight_to_root), raises ValueError.
     """
     groups: dict = {}
-    for key, coeff in [*_SECOND.items(), *(((i,), c) for i, c in _FIRST.items())]:
+    for key, coeff in _TABLE.items():
         n = [key.count(i) for i in range(1, 5)]
         factors = tuple((i, o) for i in range(4) for o in range(n[i]))
         for a, c in coeff.terms.items():

@@ -622,7 +622,8 @@ def _up(c: KappaRational, content: int, top: dict) -> IntPoly:
 
 
 def kappa_common_den(cs) -> tuple:
-    """(d, [n for c in cs]) in Z[k], each c == n / d, d the lcm of the factored dens."""
+    """(d, [n for c in cs]) in Z[k], each c == n / d, d least over linear factors
+    only; sums stay exact and canonical, as _reduce cancels an excess factor."""
     content, top, _ = _lcm(cs)
     return _make(_ONE, content, top).den, [_up(c, content, top) for c in cs]
 

@@ -18,6 +18,7 @@ from . import hamiltonian, solver
 from .errors import NearSingularity
 
 _PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+_MARGIN = 0.2  # every |sin| factor of a generic point exceeds it
 
 
 def characters_from_q(q):
@@ -57,13 +58,13 @@ def min_sine(q) -> float:
     )
 
 
-def generic_points(seed: int, count: int, margin: float = 0.2) -> list:
-    """Deterministic generic torus points, each |sin| factor above margin."""
+def generic_points(seed: int, count: int) -> list:
+    """Deterministic generic torus points, each |sin| factor above _MARGIN."""
     rng = random.Random(seed)
     points = []
     while len(points) < count:
         q = tuple(rng.uniform(0.1, math.pi - 0.1) for _ in range(4))
-        if min_sine(q) > margin:
+        if min_sine(q) > _MARGIN:
             points.append(q)
     return points
 

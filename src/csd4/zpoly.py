@@ -41,6 +41,17 @@ def from_rows(key: str, rows):
         yield tuple(row[key]), KappaRational.parse(row["num"], row["den"])
 
 
+def _add_term(out: dict, exps, coeff) -> None:
+    """Add a nonzero coeff into out[exps], deleting a sum that cancels."""
+    acc = out.get(exps)
+    if acc is None:
+        out[exps] = coeff
+    elif acc := acc + coeff:
+        out[exps] = acc
+    else:
+        del out[exps]
+
+
 class ZPolynomial:
     __slots__ = ("terms",)
 
@@ -89,15 +100,7 @@ class ZPolynomial:
             return NotImplemented
         out = self.terms.copy()  # a fast dict copy for a read-only cached table too
         for exps, coeff in other.terms.items():
-            acc = out.get(exps)
-            if acc is None:
-                out[exps] = coeff
-            else:
-                acc = acc + coeff
-                if acc:
-                    out[exps] = acc
-                else:
-                    del out[exps]
+            _add_term(out, exps, coeff)
         return ZPolynomial(out, _raw=True)
 
     __radd__ = __add__
@@ -128,17 +131,7 @@ class ZPolynomial:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3])
-                c = c1 * c2
-                acc = out.get(e)
-                if acc is None:
-                    if c:
-                        out[e] = c
-                else:
-                    acc = acc + c
-                    if acc:
-                        out[e] = acc
-                    else:
-                        del out[e]
+                _add_term(out, e, c1 * c2)  # a product of nonzero coefficients
         return ZPolynomial(out, _raw=True)
 
     __rmul__ = __mul__

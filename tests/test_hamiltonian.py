@@ -78,10 +78,11 @@ def pairwise_apply(p):
     """L p summed term by term with ZPolynomial + and *, the reference for
     apply, which sums each output monomial once."""
     out = ZPolynomial.zero()
-    for (j, k), coeff in ham._SECOND.items():
-        out = out + coeff * p.derivative(j).derivative(k)
-    for j, coeff in ham._FIRST.items():
-        out = out + coeff * p.derivative(j)
+    for key, coeff in ham._TABLE.items():
+        d = p
+        for j in key:
+            d = d.derivative(j)
+        out = out + coeff * d
     return out
 
 
@@ -151,7 +152,7 @@ def test_shift_groups_derived_from_table():
     (KappaRational(1), (0, 0, 0, 0)),  # shift omega_1, off the root lattice
 ], ids=["quadratic", "fraction", "off-lattice"])
 def test_derivation_rejects_unrepresentable_entry(monkeypatch, coeff, exps):
-    monkeypatch.setitem(ham._FIRST, 1, ZPolynomial.monomial(exps, coeff))
+    monkeypatch.setitem(ham._TABLE, (1,), ZPolynomial.monomial(exps, coeff))
     with pytest.raises(ValueError):
         ham._derive()
 

@@ -105,3 +105,24 @@ def test_no_module_reads_another_modules_private_names():
                   if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
                   and n.value.id in aliases and _private(n.attr)]
     assert not reach
+
+
+def test_every_private_top_level_name_is_read():
+    # A lint: each _name a module binds at its top level (def, class,
+    # assignment or for target) is loaded in that module.  No other module
+    # may read it (above), so one its own module never reads is dead code.
+    dead = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound = []
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                bound.append(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.For)):
+                targets = getattr(node, "targets", None) or [node.target]
+                bound += [n.id for t in targets for n in ast.walk(t)
+                          if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+        read = {n.id for n in ast.walk(tree)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        dead += [(path.name, name) for name in bound if _private(name) and name not in read]
+    assert not dead
