@@ -8,7 +8,9 @@ the eigenpolynomial with quantum numbers m, eps the excitation energy.
 
 Two algorithms run over that table: generic differentiation (:func:`apply`),
 and the action on one monomial, which evaluates the table's terms grouped
-at import by the shift they apply; the s = 0 group is the eigenvalue.
+at import by the shift they apply, from the 14 falling-factorial products
+of the derivatives computed once per exponent; the s = 0 group is the
+eigenvalue.
 :func:`monomial_image` is that second algorithm on integers, each
 coefficient an integer pair (c0, c1) meaning c0 + c1*k, and the solver's
 one evaluator of L; :func:`apply_to_monomial` and :func:`eigenvalue` read
@@ -82,10 +84,12 @@ def _apply_pairs(p: ZPolynomial) -> dict:
 
 def apply(p: ZPolynomial) -> ZPolynomial:
     """L applied by generic differentiation, exactly: each output
-    coefficient is one :func:`~csd4.kappa.kappa_sum` of its pairs."""
+    coefficient is one :func:`~csd4.kappa.kappa_sum` of its pairs, all
+    sharing one memo, so each coefficient of p is packed once per width."""
     out = {}
+    memo: dict = {}
     for f, pairs in _apply_pairs(p).items():
-        c = kappa_sum(pairs)
+        c = kappa_sum(pairs, memo=memo)
         if c:
             out[f] = c
     return ZPolynomial(out, _raw=True)
@@ -104,45 +108,35 @@ def annihilates(p: ZPolynomial, eps: KappaRational) -> bool:
     return kappa_all_zero(pairs.values())
 
 
-def _group_value(terms, e) -> tuple:
-    """Sum of (c0 + c1*k) * prod(e_i - o for (i, o) in factors) at exponent e,
-    as the integer pair (const, slope)."""
-    const = slope = 0
-    for c0, c1, factors in terms:
-        x = 1
-        for i, o in factors:
-            x *= e[i] - o
-        const += c0 * x
-        slope += c1 * x
-    return const, slope
-
-
 def _derive() -> tuple:
     """The table's terms, grouped by the shift they apply to a monomial.
 
     A term c*z^a of the coefficient of the derivative with orders n (n_i the
     count of i in the key) sends z^e to c*(e)_n z^(e-s), s = n - a, where
     (e)_n = prod_i e_i (e_i - 1)...(e_i - n_i + 1) is the product of e_i - o
-    over the pairs (i, o) in ``factors``.  The s = 0 group is eps(e); each
-    other group, with its shift s in weight coordinates, is the coefficient
-    of z^(e-s) in L z^e.  A coefficient that is not an integer c0 + c1*k, or
-    a shift off the root lattice (weight_to_root), raises ValueError.
+    over the pairs (i, o) of the key's entry in ``falling``, and the term is
+    stored as (c0, c1, the index of that entry).  The s = 0 group is eps(e);
+    each other group, with its shift s in weight coordinates, is the
+    coefficient of z^(e-s) in L z^e.  A coefficient that is not an integer
+    c0 + c1*k, or a shift off the root lattice (weight_to_root), raises
+    ValueError.
     """
+    falling = []
     groups: dict = {}
     for key, coeff in _TABLE.items():
         n = [key.count(i) for i in range(1, 5)]
-        factors = tuple((i, o) for i in range(4) for o in range(n[i]))
+        falling.append(tuple((i, o) for i in range(4) for o in range(n[i])))
         for a, c in coeff.terms.items():
             if c.den != (1,) or len(c.num) > 2:
                 raise ValueError(f"coefficient {c} of L is not an integer c0 + c1*k")
             s = tuple(x - y for x, y in zip(n, a))
-            groups.setdefault(s, []).append((*(c.num + (0, 0))[:2], factors))
+            groups.setdefault(s, []).append((*(c.num + (0, 0))[:2], len(falling) - 1))
     for s in groups:
         weight_to_root(s)
-    return groups.pop((0, 0, 0, 0)), tuple(groups.items())
+    return tuple(falling), groups.pop((0, 0, 0, 0)), tuple(groups.items())
 
 
-_DIAGONAL, _SHIFTED = _derive()
+_FALLING, _DIAGONAL, _SHIFTED = _derive()
 
 
 def monomial_image(e) -> tuple:
@@ -150,19 +144,32 @@ def monomial_image(e) -> tuple:
     meaning c0 + c1*k, and the off-diagonal terms as a list of pairs
     (f, (c0, c1)) for the nonzero coefficients of z^f, f = e - s.
 
-    The shifts are distinct and nonzero, so each term has its own exponent.
+    Each falling-factorial product (e)_n of ``_FALLING`` is computed once,
+    and each group sums c0 and c1 times its terms' products.  The shifts are
+    distinct and nonzero, so each term has its own exponent.
     """
+    x = []
+    for factors in _FALLING:
+        v = 1
+        for i, o in factors:
+            v *= e[i] - o
+        x.append(v)
     out = []
-    for s, terms in _SHIFTED:
-        coeff = _group_value(terms, e)
-        if coeff == (0, 0):
-            continue
-        shifted = (e[0] - s[0], e[1] - s[1], e[2] - s[2], e[3] - s[3])
-        if shifted[0] < 0 or shifted[1] < 0 or shifted[2] < 0 or shifted[3] < 0:
-            msg = f"nonzero shift coefficient at invalid exponent {shifted}"
-            raise ArithmeticError(msg)
-        out.append((shifted, coeff))
-    return _group_value(_DIAGONAL, e), out
+    diagonal = None
+    for s, terms in ((None, _DIAGONAL), *_SHIFTED):
+        c0 = c1 = 0
+        for a0, a1, j in terms:
+            c0 += a0 * x[j]
+            c1 += a1 * x[j]
+        if s is None:
+            diagonal = c0, c1
+        elif c0 or c1:
+            shifted = (e[0] - s[0], e[1] - s[1], e[2] - s[2], e[3] - s[3])
+            if shifted[0] < 0 or shifted[1] < 0 or shifted[2] < 0 or shifted[3] < 0:
+                msg = f"nonzero shift coefficient at invalid exponent {shifted}"
+                raise ArithmeticError(msg)
+            out.append((shifted, (c0, c1)))
+    return diagonal, out
 
 
 def eigenvalue(m) -> KappaRational:

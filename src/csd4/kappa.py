@@ -6,25 +6,19 @@ ratios in a canonical form (coprime over Z[k], denominator with positive
 leading coefficient) so that equality is plain structural comparison.
 
 Every denominator the solver meets is a product of eigenvalue differences
-``eps(e) - eps(m)``, which are linear in the coupling.  So a denominator is
-stored factored: a positive integer content times primitive factors
-``a + b*k`` (``b > 0``), each with a multiplicity; a product by an integer
-shares its operand's dict.  A sum takes the lcm of the factor multisets and
-multiplies each numerator by what its own denominator lacks of it (``_up``,
-the one step of binary ``+`` and :func:`kappa_common_den`).  :func:`kappa_sum`
-is the solver's dot product sum(c * a) of n coefficients c with integer
-polynomials a, divided by the eigenvalue difference of its step, with one lcm
-(the divisor's content and factor folded in) and one reduction; it multiplies
-by packing each polynomial into one integer (Kronecker substitution), and a
-linear factor is tested against the sum only where its packed value divides
-the packed sum.  :func:`kappa_all_zero` zero-tests a batch of such sums over
-one lcm and one packing, with no reduction.  A sum or a product is brought to
-lowest terms by testing each factor against the numerator with one exact
-synthetic division, and the content with one integer gcd.  The general gcd
-:func:`poly_gcd` runs only on a denominator of degree >= 2 that arrives with
-no known factorization: from a string, from the constructor, or from the
-inverse of a non-linear numerator.  Such a polynomial is kept as one more
-factor and cancelled by the same code.
+``eps(e) - eps(m)``, linear in the coupling, so a denominator is stored
+factored: a positive integer content times primitive factors ``a + b*k``
+(``b > 0``) with multiplicities.  A sum brings each numerator up to the lcm
+of the denominators (``_up``); :func:`kappa_sum`, the solver's n-term dot
+product over an eigenvalue difference, does so on integers packed by
+Kronecker substitution, and :func:`kappa_all_zero` zero-tests a batch of
+such sums.  Lowest terms take one synthetic division per linear factor and
+one integer gcd for the content; the general :func:`poly_gcd` runs only on
+a non-linear factor of no known factorization (from a string, the
+constructor, or the inverse of a non-linear numerator).  Within one solve,
+:func:`kappa_sum` bounds and packs each coefficient once (its ``memo``),
+and :func:`share_den` grows each new denominator from a twin one factor
+smaller.
 
 Polynomials are stored as tuples of integer coefficients, lowest degree
 first, with no trailing zeros; the empty tuple is the zero polynomial.
@@ -102,16 +96,11 @@ def poly_eval(a: IntPoly, x) -> Fraction:
     return _make(a, 1, _NO_FACTORS).substitute(x)
 
 
-def poly_content(a: IntPoly) -> int:
-    """gcd of the coefficients (0 for the zero polynomial)."""
-    return math.gcd(*a)
-
-
 def poly_primitive(a: IntPoly) -> IntPoly:
     """Primitive part with positive leading coefficient."""
     if not a:
         return _ZERO
-    c = poly_content(a)
+    c = math.gcd(*a)
     if a[-1] < 0:
         c = -c
     return tuple(x // c for x in a)
@@ -123,9 +112,7 @@ def poly_div_exact(a: IntPoly, b: IntPoly) -> IntPoly:
         raise ZeroDivisionError("polynomial division by zero")
     if not a:
         return _ZERO
-    rem = list(a)
-    lb = b[-1]
-    dq = len(a) - len(b)
+    rem, lb, dq = list(a), b[-1], len(a) - len(b)
     if dq < 0:
         raise ArithmeticError("inexact polynomial division")
     q = [0] * (dq + 1)
@@ -144,19 +131,14 @@ def poly_div_exact(a: IntPoly, b: IntPoly) -> IntPoly:
 
 def _pseudo_rem(a: IntPoly, b: IntPoly) -> IntPoly:
     """Pseudo-remainder of a by b (b nonzero, deg a >= deg b)."""
-    rem = list(a)
-    lb = b[-1]
+    rem, lb = poly_trim(a), b[-1]
     while len(rem) >= len(b):
-        rem = poly_trim(rem)
-        if len(rem) < len(b):
-            break
-        lead = rem[-1]
-        shift = len(rem) - len(b)
+        lead, shift = rem[-1], len(rem) - len(b)
         rem = [c * lb for c in rem]
         for j, cb in enumerate(b):
             rem[shift + j] -= lead * cb
-        rem = list(poly_trim(rem))
-    return poly_trim(rem)
+        rem = poly_trim(rem)
+    return rem
 
 
 def poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
@@ -164,7 +146,7 @@ def poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
     if not a or not b:
         a = a or b
         return poly_neg(a) if a and a[-1] < 0 else a
-    c = math.gcd(poly_content(a), poly_content(b))
+    c = math.gcd(*a, *b)
     if len(a) == 1 or len(b) == 1:
         return (c,)
     pa, pb = poly_primitive(a), poly_primitive(b)
@@ -214,16 +196,10 @@ def poly_from_str(text: str) -> IntPoly:
         m = _TERM_RE.fullmatch(chunk)
         if not chunk or not m:
             raise ValueError(f"malformed polynomial term {chunk!r} in {text!r}")
-        coeff = int(m.group("coeff")) if m.group("coeff") else 1
-        if m.group("var"):
-            power = int(m.group("pow")) if m.group("pow") else 1
-        else:
-            power = 0
+        coeff = int(m.group("coeff") or 1)
+        power = int(m.group("pow") or 1) if m.group("var") else 0
         coeffs[power] = coeffs.get(power, 0) + (-coeff if sign == "-" else coeff)
-    out = [0] * (max(coeffs) + 1)
-    for power, coeff in coeffs.items():
-        out[power] = coeff
-    return poly_trim(out)
+    return poly_trim([coeffs.get(i, 0) for i in range(max(coeffs) + 1)])
 
 
 class KappaRational:
@@ -245,8 +221,7 @@ class KappaRational:
         if sign < 0:
             num = poly_neg(num)
         r = _reduce(num, content, factors)
-        self.num, self._content, self._factors = r.num, r._content, r._factors
-        self._den = r._den
+        self.num, self._content, self._factors, self._den = r.num, r._content, r._factors, r._den
 
     @staticmethod
     def _coerce_poly(p) -> IntPoly:
@@ -407,9 +382,7 @@ class KappaRational:
 
     def __str__(self):
         ns, ds = self.as_strings()
-        if ds == "1":
-            return ns
-        return f"({ns})/({ds})"
+        return ns if ds == "1" else f"({ns})/({ds})"
 
     def __repr__(self):
         return f"KappaRational({self.num!r}, {self.den!r})"
@@ -435,7 +408,7 @@ def _factor(p: IntPoly) -> tuple:
     leading coefficient; a constant has no factor.
     """
     sign = 1 if p[-1] > 0 else -1
-    content = poly_content(p)
+    content = math.gcd(*p)
     if len(p) == 1:
         return sign, content, _NO_FACTORS
     s = sign * content
@@ -531,25 +504,27 @@ def _unpack(x: int, bits: int) -> IntPoly:
     return tuple(out)
 
 
-def kappa_sum(terms, over: IntPoly = _ONE) -> KappaRational:
+def kappa_sum(terms, over: IntPoly = _ONE, memo=None) -> KappaRational:
     """The dot product sum(c * a) over pairs of a ``KappaRational`` c and an
     integer polynomial a, divided by ``over`` (nonzero, of degree at most 1),
     with one reduction.
 
-    The n-term form of the scheme of ``KappaRational.__add__``: one lcm of
-    the contents and factor multisets (:func:`_lcm`, one pass per distinct
-    factor dict: solve shares one dict per distinct denominator), each
-    c.num * a multiplied up to it once, and the content and factor of
-    ``over`` joined to it.  The products run as integer products (Kronecker
-    substitution): every polynomial is packed as its value at 2**bits, with
-    bits above the bit length of the largest coefficient the sum can have,
-    so the packed sum unpacks to the numerator N.  A linear factor f can
-    divide N only if f(2**bits) divides the packed sum, so only those, and
-    any non-linear factor, are tested.
+    The n-term form of the scheme of ``KappaRational.__add__``: one lcm
+    (:func:`_lcm`) with the content and factor of ``over`` joined to it, and
+    each c.num * a multiplied up to it once, as integer products (Kronecker
+    substitution): every polynomial is packed as its value at 2**bits, bits
+    a multiple of 64 above the bit length of the largest coefficient the sum
+    can have, so the packed sum unpacks to the numerator N.  A linear factor
+    f can divide N only if f(2**bits) divides the packed sum, so only those,
+    and any non-linear factor, are tested.  ``memo`` (one dict per solve or
+    per apply of L; by default, one per call) keeps by id(c) c itself, so
+    the id stays its own, the bit length of max|c.num| and c.num packed at
+    each width it met: c is bounded once, and packed once per width.
     """
     terms = [(c, a) for c, a in terms if c.num and a]
     if not terms:
         return _KR_ZERO
+    memo = {} if memo is None else memo
     content, top, dicts = _lcm([c for c, _ in terms])
     fbits = {f: sum(map(abs, f)).bit_length() for f in top}  # of |f|_1
     # what each distinct factor dict lacks of the lcm, with its bits
@@ -557,15 +532,23 @@ def kappa_sum(terms, over: IntPoly = _ONE) -> KappaRational:
             for k, fs in dicts.items()}
     mbits = {k: sum(fbits[f] * d for f, d in ms) for k, ms in miss.items()}
     # |c.num * a * s * prod f^d|_inf <= |c.num|_inf |a|_1 s prod |f|_1^d
-    width = max(mbits[id(c._factors)] + (max(max(c.num), -min(c.num)) * sum(map(abs, a))
-                                         * (content // c._content)).bit_length()
-                for c, a in terms)
-    bits = width + len(terms).bit_length() + 1  # room for the sum and its sign
+    rows, width = [], 0
+    for c, a in terms:
+        row = memo.get(id(c))
+        if row is None:
+            row = memo[id(c)] = (c, max(max(c.num), -min(c.num)).bit_length(), {})
+        s = content // c._content
+        width = max(width, row[1] + mbits[id(c._factors)] + (sum(map(abs, a)) * s).bit_length())
+        rows.append((row, a, s))
+    bits = -(-(width + len(terms).bit_length() + 1) // 64) * 64  # room for sum and sign
     sign, oc, of = _factor(over)
     pf = {f: _pack(f, bits) for f in (*top, *of)}
     sums = dict.fromkeys(dicts, 0)
-    for c, a in terms:
-        sums[id(c._factors)] += _pack(c.num, bits) * _pack(a, bits) * (content // c._content)
+    for (c, _, packed), a, s in rows:
+        x = packed.get(bits)
+        if x is None:
+            x = packed[bits] = _pack(c.num, bits)
+        sums[id(c._factors)] += x * (_pack(a, bits) * s)
     total = sum(x * math.prod(pf[f] ** d for f, d in miss[k]) for k, x in sums.items())
     factors = dict(top)
     for f in of:
@@ -632,10 +615,25 @@ def share_den(x: KappaRational, seen: dict) -> KappaRational:
     """x with the factor dict and expanded ``den`` of the first value in
     ``seen``, the caller's table, that has the same denominator.
 
-    So each distinct denominator is expanded once and stored once.
+    So each distinct denominator is expanded once and stored once.  A new
+    one is grown from the first value over a factor multiset one factor f
+    smaller (``seen`` maps each multiset to it): that den over its content,
+    times f, times x's content; with no such twin, factor by factor.
     """
-    twin = seen.setdefault((x._content, frozenset(x._factors.items())), x)
-    return _make(x.num, x._content, twin._factors, twin.den)
+    fs = frozenset(x._factors.items())
+    twin = seen.get((x._content, fs))
+    if twin is not None:
+        return _make(x.num, x._content, twin._factors, twin.den)
+    for f, e in x._factors.items():
+        near = seen.get(fs - {(f, e)} | ({(f, e - 1)} if e > 1 else set()))
+        if near is not None:
+            prim = poly_mul(tuple(c // near._content for c in near.den), f)
+            x._den = poly_scale(prim, x._content)
+            break
+    seen[x._content, fs] = x
+    seen.setdefault(fs, x)
+    x.den  # expanded here, not at a caller's first use
+    return x
 
 
 def poly_linear(const: int, slope: int) -> IntPoly:

@@ -15,7 +15,10 @@ The pass is written once over a pluggable scalar: :func:`solve` runs it on
 rational functions of the coupling, where each coefficient is one
 :func:`csd4.kappa.kappa_sum` that divides as it sums, and the walk does
 no other rational-function arithmetic; :func:`solve_at` runs it on exact
-rationals at one coupling value.
+rationals at one coupling value.  A coefficient's own work is done once
+per solve, not once per sum it feeds: its bound and packing (the memo of
+:func:`~csd4.kappa.kappa_sum`) and the expansion of its denominator
+(:func:`~csd4.kappa.share_den`, from a twin one factor smaller).
 
 Triality permutes z1, z3, z4 and commutes with L, so a permutation sigma
 that fixes m fixes the monic eigenpolynomial too: c(sigma mu) = c(mu).  The
@@ -197,20 +200,19 @@ def solve(m) -> CSPolynomial:
 
     One :func:`_walk` with coefficients rational functions of the coupling:
     each coefficient is one :func:`csd4.kappa.kappa_sum` of its pairs over
-    its eigenvalue difference, and coefficients with equal denominators
-    share one expanded ``den`` (:func:`csd4.kappa.share_den`).  The walk
-    makes no other arithmetic on rational functions.  The result is cached,
-    and its tables are read-only.
+    its eigenvalue difference, with one packing memo for the whole solve,
+    and coefficients with equal denominators share one expanded ``den``
+    (:func:`csd4.kappa.share_den`).  The walk makes no other arithmetic on
+    rational functions.  The result is cached, and its tables are read-only.
     """
     m = check_dominant(m)
     if m in _CACHE:
         return _CACHE[m]
     dens: dict = {}  # the distinct denominators met so far, for share_den
+    packed: dict = {}  # each coefficient's bound and packing, for kappa_sum
 
     def quotient(pairs, denom):
-        # Expand each distinct denominator here, once, not at a caller's
-        # first use.
-        return share_den(kappa_sum(pairs, poly_linear(*denom)), dens)
+        return share_den(kappa_sum(pairs, poly_linear(*denom), packed), dens)
 
     coeffs, terms = _walk(m, KappaRational(1), poly_linear, quotient)
     # Every caller shares the cached result, so its tables are read-only.

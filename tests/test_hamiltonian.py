@@ -173,8 +173,10 @@ def test_integer_evaluator_matches_both_routes():
 
 
 def test_monomial_route_rejects_invalid_exponent(monkeypatch):
-    # The evaluator reads _SHIFTED when called, so both walks meet the term.
-    always = (rs.root_to_weight((1, 0, 0, 0)), [(1, 0, ())])  # the constant 1
+    # The evaluator reads _FALLING and _SHIFTED when called, so both walks
+    # meet the term: an empty product appended to _FALLING is the constant 1.
+    always = (rs.root_to_weight((1, 0, 0, 0)), [(1, 0, len(ham._FALLING))])
+    monkeypatch.setattr(ham, "_FALLING", (*ham._FALLING, ()))
     monkeypatch.setattr(ham, "_SHIFTED", (always,))
     routes = [ham.monomial_image, ham.apply_to_monomial, solver.solve,
               lambda m: solver.solve_at(m, Fraction(7, 10))]

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from csd4 import fixtures, solver
+from csd4 import fixtures, kappa, solver
 from csd4.errors import PoleAtKappa
 from csd4.kappa import (
     KappaRational,
@@ -26,6 +26,7 @@ from csd4.kappa import (
     poly_scale,
     poly_to_str,
     poly_trim,
+    share_den,
 )
 
 
@@ -431,6 +432,70 @@ def test_kappa_sum_is_not_fooled_at_a_packing_point():
         assert kappa_sum([(one / KappaRational(f), f)]) == one
         assert kappa_sum([(one, f)], f) == one
         assert kappa_sum([(one / KappaRational(f), (1,))], f) == KappaRational(1, poly_mul(f, f))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.data())
+def test_kappa_sum_shares_a_memo_across_widths(data):
+    # One memo over many sums, as over one solve.  A weight scaled by 2^100
+    # or 2^300 moves the packing width past any rounding step, so x0, which
+    # the first two sums share, is summed at two widths, and the other
+    # coefficients at drawn ones: a value packed at one width must never be
+    # read at another.
+    pool = data.draw(
+        st.lists(st.sampled_from(LINEAR), min_size=3, max_size=3, unique=True)
+    )
+    quadratics = data.draw(st.sampled_from([(), QUADRATICS]))
+    xs = [x for x, _, _ in data.draw(
+        st.lists(factored_operands(pool, quadratics), min_size=1, max_size=4)
+    )]
+    kinds = [*LINEAR_WEIGHTS, "product"]
+    shifts = data.draw(st.lists(st.sampled_from([0, 100, 300]), max_size=6))
+    memo: dict = {}
+    for i, shift in enumerate([0, 300, *shifts]):
+        picks = [xs[0]] if i < 2 else data.draw(st.lists(st.sampled_from(xs), max_size=4))
+        ps = [(x, poly_scale(data.draw(weights(pool, x, kinds)), 1 << shift)) for x in picks]
+        over = data.draw(st.sampled_from([(1,), (-3,), *pool, (5, 7)]))
+        assert kappa_sum(ps, over, memo) == kappa_sum(ps, over)
+    assert all(memo[id(x)][0] is x for x in xs if id(x) in memo)  # its id stays its own
+
+
+def share_den_case(content, *factors):
+    """1 / (content * prod factors) with that factor dict, den not yet expanded."""
+    x = KappaRational(1, content)
+    for f in factors:
+        x = x / KappaRational(f)
+    return x
+
+
+def test_share_den_grows_a_denominator_from_its_twin(monkeypatch):
+    expansions = []  # the factor-by-factor expansions made
+
+    def expand(p, f, e):
+        expansions.append(f)
+        return power_product(p, [f], [e])
+
+    monkeypatch.setattr(kappa, "_mul_factor", expand)
+    f, g = (1, 2), (-3, 1)
+    seen: dict = {}
+    cases = [  # (content, factors, whether it is expanded factor by factor)
+        ((2, f), True),  # seen is empty
+        ((6, f, f), False),  # multiplicity 2, from (2, f) of another content
+        ((1, g, g), True),  # no {g: 1} in seen
+        ((3, f, f, g), False),  # from (6, f, f)
+        ((5,), False),  # the empty factor dict
+        ((1, g, g, g), False),  # from (1, g, g), of the same content
+    ]
+    for (content, *fs), expanded in cases:
+        expansions.clear()
+        x = share_den(share_den_case(content, *fs), seen)
+        assert x.den == power_product((content,), fs, [1] * len(fs))
+        assert bool(expansions) == expanded, (content, fs)
+    # An equal denominator is the stored one: same den and factor dict objects.
+    first = seen[6, frozenset({(f, 2)})]
+    again = share_den(share_den_case(6, f, f) * 5, seen)
+    assert again.den is first.den and again._factors is first._factors
+    assert again == KappaRational(5, first.den)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

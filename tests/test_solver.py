@@ -3,11 +3,13 @@
 import hashlib
 import itertools
 import json
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from csd4 import fixtures
 from csd4 import hamiltonian as ham
 from csd4 import kappa
 from csd4 import rootsystem as rs
@@ -339,14 +341,62 @@ def test_equal_denominators_share_one_expansion():
     assert len(first) == 86
 
 
+@pytest.mark.parametrize("m", [(4, 4, 4, 4), (1, 2, 1, 3)])
+def test_grown_denominators_equal_their_expansion(m):
+    # share_den grows most denominators from a twin one factor smaller; each
+    # must equal content * prod f^e expanded from scratch.
+    solver.clear_cache()
+    try:
+        p = solver.solve(m)
+    finally:
+        solver.clear_cache()
+    for c in p.coefficients.values():
+        want = (c._content,)
+        for f, e in c._factors.items():
+            for _ in range(e):
+                want = kappa.poly_mul(want, f)
+        assert c.den == want
+
+
+def test_solve_packs_each_numerator_once_per_width(monkeypatch):
+    # kappa_sum's memo packs a coefficient again only at a new width, not
+    # once for every sum the coefficient feeds.
+    packs = []  # (polynomial, width); holding each keeps its id unique
+    real = kappa._pack
+
+    def counted(p, bits):
+        packs.append((p, bits))
+        return real(p, bits)
+
+    monkeypatch.setattr(kappa, "_pack", counted)
+    solver.clear_cache()
+    try:
+        p = solver.solve((4, 4, 4, 4))
+    finally:
+        solver.clear_cache()
+    nums = {id(c.num) for c in p.coefficients.values()}
+    counts = Counter((id(q), bits) for q, bits in packs if id(q) in nums)
+    assert len({q for q, _ in counts}) > 200
+    assert max(counts.values()) == 1
+
+
 LADDER_DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "ladder_digests.json"
 SOLVE_DIGESTS = Path(__file__).resolve().parent / "solve_digests.json"
 
 
 def cold_solve_digest(m, digests):
-    """(sha256 of the canonical fixture JSON of a cold solve, the recorded one)."""
+    """(sha256 of the canonical fixture JSON of a cold solve, the recorded one).
+
+    The golden corpus is checked first, in milliseconds: under a wrong
+    operator table a large cold solve can run for minutes before its digest
+    is compared.
+    """
     with open(digests) as fh:
         want = json.load(fh)[json.dumps(list(m))]
+    solver.clear_cache()
+    for entry in fixtures.load("polynomials"):
+        golden = solver.CSPolynomial.from_fixture_obj(entry)
+        assert solver.solve(golden.m) == golden, f"golden corpus differs at {golden.m}"
     solver.clear_cache()
     try:
         obj = solver.solve(m).to_fixture_obj()
