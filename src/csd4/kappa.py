@@ -9,16 +9,13 @@ Every denominator the solver meets is a product of eigenvalue differences
 ``eps(e) - eps(m)``, linear in the coupling, so a denominator is stored
 factored: a positive integer content times primitive factors ``a + b*k``
 (``b > 0``) with multiplicities.  A sum brings each numerator up to the lcm
-of the denominators (``_up``); :func:`kappa_sum`, the solver's n-term dot
-product over an eigenvalue difference, does so on integers packed by
-Kronecker substitution, and :func:`kappa_all_zero` zero-tests a batch of
-such sums.  Lowest terms take one synthetic division per linear factor and
-one integer gcd for the content; the general :func:`poly_gcd` runs only on
-a non-linear factor of no known factorization (from a string, the
-constructor, or the inverse of a non-linear numerator).  Within one solve,
-:func:`kappa_sum` bounds and packs each coefficient once (its ``memo``),
-and :func:`share_den` grows each new denominator from a twin one factor
-smaller.
+of the denominators: :func:`kappa_sum`, the n-term dot product, on integers
+packed by Kronecker substitution once a denominator has a factor, and
+:func:`kappa_all_zero`, a zero test of many sums with integer or rational
+weights that reduces none.  Lowest terms take one synthetic division per
+linear factor and one integer gcd for the content; :func:`poly_gcd` runs
+only on a non-linear factor of no known factorization (from a string, the
+constructor, or the inverse of a non-linear numerator).
 
 Polynomials are stored as tuples of integer coefficients, lowest degree
 first, with no trailing zeros; the empty tuple is the zero polynomial.
@@ -77,9 +74,7 @@ def poly_mul(a: IntPoly, b: IntPoly) -> IntPoly:
 
 
 def poly_scale(a: IntPoly, s: int) -> IntPoly:
-    if s == 0:
-        return _ZERO
-    return tuple(c * s for c in a)
+    return tuple(c * s for c in a) if s else _ZERO
 
 
 def _homogeneous(a: IntPoly, p: int, q: int) -> int:
@@ -213,8 +208,7 @@ class KappaRational:
     __slots__ = ("num", "_content", "_factors", "_den")
 
     def __init__(self, num=0, den=1):
-        num = self._coerce_poly(num)
-        den = self._coerce_poly(den)
+        num, den = self._coerce_poly(num), self._coerce_poly(den)
         if not den:
             raise ZeroDivisionError("zero denominator")
         sign, content, factors = _factor(den)
@@ -306,10 +300,7 @@ class KappaRational:
         return self + (-other)
 
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
+        return -self + other
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -321,13 +312,8 @@ class KappaRational:
         # against the other operand's denominator leaves lowest terms.
         a = _reduce(self.num, other._content, other._factors)
         b = _reduce(other.num, self._content, self._factors)
-        fa, fb = a._factors, b._factors
-        factors = fa or fb  # shared, not copied, when one side has none
-        if fa and fb:
-            factors = dict(fa)
-            for f, e in fb.items():
-                factors[f] = factors.get(f, 0) + e
-        return _make(poly_mul(a.num, b.num), a._content * b._content, factors)
+        return _make(poly_mul(a.num, b.num), a._content * b._content,
+                     _joined(a._factors, b._factors))
 
     __rmul__ = __mul__
 
@@ -335,8 +321,7 @@ class KappaRational:
         if not self.num:
             raise ZeroDivisionError("inverse of zero")
         sign, content, factors = _factor(self.num)
-        num = self.den
-        return _make(poly_neg(num) if sign < 0 else num, content, factors)
+        return _make(poly_neg(self.den) if sign < 0 else self.den, content, factors)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -345,10 +330,7 @@ class KappaRational:
         return self * other.inverse()
 
     def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other * self.inverse()
+        return self.inverse() * other
 
     # -- evaluation ----------------------------------------------------
 
@@ -401,12 +383,19 @@ def _make(num, content, factors, den=None) -> KappaRational:
     return r
 
 
-def _factor(p: IntPoly) -> tuple:
-    """Split a nonzero p as ``sign * content * factor``.
+def _joined(fa: dict, fb: dict) -> dict:
+    """The factors of a product; one side is shared when the other has none."""
+    if not (fa and fb):
+        return fa or fb
+    out = dict(fa)
+    for f, e in fb.items():
+        out[f] = out.get(f, 0) + e
+    return out
 
-    A linear or non-linear p becomes one primitive factor with positive
-    leading coefficient; a constant has no factor.
-    """
+
+def _factor(p: IntPoly) -> tuple:
+    """Split a nonzero p as ``sign * content * factor``: one primitive factor
+    with positive leading coefficient, or none for a constant p."""
     sign = 1 if p[-1] > 0 else -1
     content = math.gcd(*p)
     if len(p) == 1:
@@ -507,61 +496,61 @@ def _unpack(x: int, bits: int) -> IntPoly:
 def kappa_sum(terms, over: IntPoly = _ONE, memo=None) -> KappaRational:
     """The dot product sum(c * a) over pairs of a ``KappaRational`` c and an
     integer polynomial a, divided by ``over`` (nonzero, of degree at most 1),
-    with one reduction.
+    with one reduction over one lcm (:func:`_lcm`) joined to ``over``.
 
-    The n-term form of the scheme of ``KappaRational.__add__``: one lcm
-    (:func:`_lcm`) with the content and factor of ``over`` joined to it, and
-    each c.num * a multiplied up to it once, as integer products (Kronecker
-    substitution): every polynomial is packed as its value at 2**bits, bits
-    a multiple of 64 above the bit length of the largest coefficient the sum
-    can have, so the packed sum unpacks to the numerator N.  A linear factor
-    f can divide N only if f(2**bits) divides the packed sum, so only those,
-    and any non-linear factor, are tested.  ``memo`` (one dict per solve or
-    per apply of L; by default, one per call) keeps by id(c) c itself, so
-    the id stays its own, the bit length of max|c.num| and c.num packed at
-    each width it met: c is bounded once, and packed once per width.
+    With integer denominators only, the products c.num * a are summed as
+    they are.  Otherwise each is multiplied up to the lcm as an integer
+    (Kronecker substitution): every polynomial is packed as its value at
+    2**bits, bits a multiple of 64 above the largest coefficient the sum can
+    have, and the packed sum unpacks to the numerator N.  A linear factor f
+    can divide N only if f(2**bits) divides the packed sum, so only those,
+    and any non-linear factor, are tested.  ``memo`` (by default, one per
+    call) keeps, by id(c), c itself, its bit bound and its packings.
     """
     terms = [(c, a) for c, a in terms if c.num and a]
     if not terms:
         return _KR_ZERO
-    memo = {} if memo is None else memo
     content, top, dicts = _lcm([c for c, _ in terms])
-    fbits = {f: sum(map(abs, f)).bit_length() for f in top}  # of |f|_1
-    # what each distinct factor dict lacks of the lcm, with its bits
-    miss = {k: [(f, e - fs.get(f, 0)) for f, e in top.items() if e > fs.get(f, 0)]
-            for k, fs in dicts.items()}
-    mbits = {k: sum(fbits[f] * d for f, d in ms) for k, ms in miss.items()}
-    # |c.num * a * s * prod f^d|_inf <= |c.num|_inf |a|_1 s prod |f|_1^d
-    rows, width = [], 0
-    for c, a in terms:
-        row = memo.get(id(c))
-        if row is None:
-            row = memo[id(c)] = (c, max(max(c.num), -min(c.num)).bit_length(), {})
-        s = content // c._content
-        width = max(width, row[1] + mbits[id(c._factors)] + (sum(map(abs, a)) * s).bit_length())
-        rows.append((row, a, s))
-    bits = -(-(width + len(terms).bit_length() + 1) // 64) * 64  # room for sum and sign
     sign, oc, of = _factor(over)
-    pf = {f: _pack(f, bits) for f in (*top, *of)}
-    sums = dict.fromkeys(dicts, 0)
-    for (c, _, packed), a, s in rows:
-        x = packed.get(bits)
-        if x is None:
-            x = packed[bits] = _pack(c.num, bits)
-        sums[id(c._factors)] += x * (_pack(a, bits) * s)
-    total = sum(x * math.prod(pf[f] ** d for f, d in miss[k]) for k, x in sums.items())
     factors = dict(top)
     for f in of:
         factors[f] = factors.get(f, 0) + 1
-    test = [f for f in factors if len(f) != 2 or not pf[f] or not total % pf[f]]
-    num = _unpack(total, bits)
-    return _reduce(poly_neg(num) if sign < 0 else num, content * oc, factors or _NO_FACTORS,
-                   test)
+    if not top:  # integer denominators: the products summed as they are
+        num, test = _ZERO, None
+        for c, a in terms:
+            num = poly_add(num, poly_scale(poly_mul(c.num, a), content // c._content))
+    else:
+        memo = {} if memo is None else memo
+        fbits = {f: sum(map(abs, f)).bit_length() for f in top}  # of |f|_1
+        # what each distinct factor dict lacks of the lcm, with its bits
+        miss = {k: [(f, e - fs.get(f, 0)) for f, e in top.items() if e > fs.get(f, 0)]
+                for k, fs in dicts.items()}
+        mbits = {k: sum(fbits[f] * d for f, d in ms) for k, ms in miss.items()}
+        # |c.num * a * s * prod f^d|_inf <= |c.num|_inf |a|_1 s prod |f|_1^d
+        rows, width = [], 0
+        for c, a in terms:
+            row = memo.get(id(c))
+            if row is None:
+                row = memo[id(c)] = (c, max(max(c.num), -min(c.num)).bit_length(), {})
+            s = content // c._content
+            width = max(width, row[1] + mbits[id(c._factors)] + (sum(map(abs, a)) * s).bit_length())
+            rows.append((row, a, s))
+        bits = -(-(width + len(terms).bit_length() + 1) // 64) * 64  # room for sum and sign
+        pf = {f: _pack(f, bits) for f in factors}
+        sums = dict.fromkeys(dicts, 0)
+        for (c, _, packed), a, s in rows:
+            x = packed.get(bits)
+            if x is None:
+                x = packed[bits] = _pack(c.num, bits)
+            sums[id(c._factors)] += x * (_pack(a, bits) * s)
+        total = sum(x * math.prod(pf[f] ** d for f, d in miss[k]) for k, x in sums.items())
+        test = [f for f in factors if len(f) != 2 or not pf[f] or not total % pf[f]]
+        num = _unpack(total, bits)
+    return _reduce(poly_neg(num) if sign < 0 else num, content * oc, factors or _NO_FACTORS, test)
 
 
 def _lcm(cs) -> tuple:
-    """The lcm of the denominators of ``cs`` as (content, {f: top e}), and
-    their distinct factor dicts by id."""
+    """The lcm of the denominators of ``cs``, (content, {f: top e}), and their dicts by id."""
     dicts = {id(c._factors): c._factors for c in cs}
     top: dict = {}
     for fs in dicts.values():
@@ -571,25 +560,43 @@ def _lcm(cs) -> tuple:
     return math.lcm(*{c._content for c in cs}), top, dicts
 
 
+def _carrier(c: KappaRational, w: KappaRational, memo: dict) -> tuple:
+    """(x, w.num), x = c.num over the denominators of c and w joined, unreduced;
+    ``memo`` keeps x (with c and w, so their ids stay their own) by id(c),
+    id(w._factors) and w._content, and each joined dict by both dicts' ids."""
+    key = id(c), id(w._factors), w._content
+    hit = memo.get(key)
+    if hit is None:
+        fc, fw = c._factors, w._factors
+        fs = memo.get((id(fc), id(fw)))
+        if fs is None:
+            fs = memo[id(fc), id(fw)] = _joined(fc, fw)
+        hit = memo[key] = _make(c.num, c._content * w._content, fs), c, w
+    return hit[0], w.num
+
+
 def kappa_all_zero(sums) -> bool:
-    """``not any(kappa_sum(ps) for ps in sums)`` over one lcm of every c: one
-    cofactor per distinct factor dict, one packing width (the bound of
-    :func:`kappa_sum`), and each distinct c (times its cofactor) and a packed
-    once, by id.  Each sum is one integer dot product, and none is reduced."""
-    sums = [[(c, a) for c, a in ps if c.num and a] for ps in sums]
+    """``not any(sum(c * w for c, w in ps) for ps in sums)``, w an integer
+    polynomial or a ``KappaRational`` (carried by :func:`_carrier`), over one
+    lcm and one packing width (the bound of :func:`kappa_sum`): one cofactor
+    per distinct factor dict, each distinct c and w packed once (by id), and
+    each sum one integer dot product, none reduced."""
+    memo: dict = {}
+    sums = [[_carrier(c, a, memo) if a.__class__ is KappaRational else (c, a)
+             for c, a in ps if c.num and a] for ps in sums]
     cs = {id(c): c for ps in sums for c, _ in ps}
     ws = {id(a): a for ps in sums for _, a in ps}
     content, top, dicts = _lcm(cs.values())
     fbits = {f: sum(map(abs, f)).bit_length() for f in top}
-    full = sum(fbits[f] * e for f, e in top.items())
+    own = {k: sum(fbits[f] * e for f, e in fs.items()) for k, fs in dicts.items()}
     bits = (max((max(map(abs, c.num)).bit_length() + (content // c._content).bit_length()
-                 + full - sum(fbits[f] * e for f, e in c._factors.items())
-                 for c in cs.values()), default=0)
+                 - own[id(c._factors)] for c in cs.values()), default=0)
+            + sum(fbits[f] * e for f, e in top.items())
             + max((sum(map(abs, a)).bit_length() for a in ws.values()), default=0)
             + max(map(len, sums), default=0).bit_length() + 1)
     pf = {f: _pack(f, bits) for f in top}
-    cof = {k: math.prod(pf[f] ** (e - fs.get(f, 0)) for f, e in top.items())
-           for k, fs in dicts.items()}
+    whole = math.prod(pf[f] ** e for f, e in top.items())
+    cof = {k: whole // math.prod(pf[f] ** e for f, e in fs.items()) for k, fs in dicts.items()}
     xc = {k: _pack(c.num, bits) * (content // c._content) * cof[id(c._factors)]
           for k, c in cs.items()}
     xa = {k: _pack(a, bits) for k, a in ws.items()}
@@ -602,13 +609,6 @@ def _up(c: KappaRational, content: int, top: dict) -> IntPoly:
     for f, e in top.items():
         num = _mul_factor(num, f, e - fs.get(f, 0))
     return poly_scale(num, s) if s != 1 else num
-
-
-def kappa_common_den(cs) -> tuple:
-    """(d, [n for c in cs]) in Z[k], each c == n / d, d least over linear factors
-    only; sums stay exact and canonical, as _reduce cancels an excess factor."""
-    content, top, _ = _lcm(cs)
-    return _make(_ONE, content, top).den, [_up(c, content, top) for c in cs]
 
 
 def share_den(x: KappaRational, seen: dict) -> KappaRational:

@@ -7,8 +7,9 @@ Clebsch-Gordan series.  The basis is unitriangular in the height order, so
 each admissible slot's coefficient follows from the slot's own exponent and
 the slots above it.  The whole identity z_v P_m = sum c_j P_j is then
 zero-tested in one exact batch (:func:`~csd4.kappa.kappa_all_zero`), which
-also verifies that only the admissible shift slots appear; no product c_j P_j
-is formed.
+also verifies that only the admissible shift slots appear.  Each c_j enters
+that batch as a rational weight on the coefficients of P_j, as it stands:
+no product c_j P_j is formed, and nothing is cleared to a common denominator.
 """
 
 from __future__ import annotations
@@ -16,9 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import Check, Report, ResidualNonzero
-from .kappa import (
-    KappaRational, kappa_all_zero, kappa_common_den, kappa_linear, kappa_sum, poly_neg,
-)
+from .kappa import KappaRational, kappa_all_zero, kappa_linear, kappa_sum
 from .rootsystem import (
     TRIALITY_MAPS, WEYL_VECTOR_ROOT, apply_triality, weight_orbit, weight_to_root,
 )
@@ -64,8 +63,10 @@ def expand_product(v: int, m) -> RecurrenceExpansion:
     The admissible slots, highest first, are solved for one at a time at
     their own exponent e, where z_v P_m has the coefficient P_m[e - delta_v]
     and every higher P_j is known.  Then the whole identity
-    D z_v P_m - sum N_j P_j = 0, with the slot coefficients cleared to
-    N_j / D, is tested for zero in one :func:`~csd4.kappa.kappa_all_zero`.
+    z_v P_m - sum c_j P_j = 0 is tested for zero in one
+    :func:`~csd4.kappa.kappa_all_zero`, its rows the pairs (P_m[e - delta_v], 1)
+    and (P_j[e], -c_j), each -c_j a rational weight.  A nonzero row names the
+    leading remainder in the error.
     """
     m = tuple(m)
     base = solve(m).polynomial.terms
@@ -81,16 +82,16 @@ def expand_product(v: int, m) -> RecurrenceExpansion:
             c = kappa_sum([(c, _PLUS), *higher])
         if c:
             terms[e] = c
-    den, nums = kappa_common_den(list(terms.values()))
-    rows = {}  # exponent -> the pairs of D z_v P_m - sum N_j P_j there
+    rows = {}  # exponent -> the pairs of z_v P_m - sum c_j P_j there
     for e, c in base.items():
-        rows.setdefault((*e[:i], e[i] + 1, *e[i + 1:]), []).append((c, den))
-    for s, n in zip(terms, nums):
-        n = poly_neg(n)
-        for e, c in polys[s].items():
-            rows.setdefault(e, []).append((c, n))
+        rows.setdefault((*e[:i], e[i] + 1, *e[i + 1:]), []).append((c, _PLUS))
+    for s, c in terms.items():
+        w = -c
+        for e, p in polys[s].items():
+            rows.setdefault(e, []).append((p, w))
     if not kappa_all_zero(rows.values()):
-        lead = max((e for e, pairs in rows.items() if kappa_sum(pairs)), key=_monomial_key)
+        lead = max((e for e, pairs in rows.items() if not kappa_all_zero([pairs])),
+                   key=_monomial_key)
         raise ResidualNonzero(
             f"z{v} * P_{m}: leading remainder {lead} is not an admissible shift"
         )
@@ -370,13 +371,14 @@ def verify_closed_forms(max_m: int) -> Report:
     report = Report()
     zero, one = KappaRational(0), KappaRational(1)
     for m in range(1, max_m + 1):
+        forms = {name: closed_form(name, m) for name in CLOSED_FORM_NAMES}
         for label, v, base, slots in _relation_families(m):
             expansion = expand_product(v, base)
             expected_slots = {}
             for slot, name in slots.items():
                 if any(c < 0 for c in slot):
                     continue
-                value = one if name is None else closed_form(name, m)
+                value = one if name is None else forms[name]
                 if value:
                     expected_slots[slot] = value
             # every predicted slot, then every extracted slot none predicts
@@ -385,8 +387,7 @@ def verify_closed_forms(max_m: int) -> Report:
                     f"{label} m={m} slot={list(slot)}",
                     expected_slots.get(slot, zero), expansion.coefficient(slot),
                 ))
-        for name in CLOSED_FORM_NAMES:
-            cf = closed_form(name, m)
+        for name, cf in forms.items():
             if not cf:
                 continue  # identically-zero coefficient: its slot is absent
             report.records.append(_compare(

@@ -3,17 +3,17 @@
 import itertools
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from csd4 import fixtures, kappa, solver
+from csd4 import fixtures, hamiltonian, kappa, solver
 from csd4.errors import PoleAtKappa
 from csd4.kappa import (
     KappaRational,
     kappa_all_zero,
-    kappa_common_den,
     kappa_linear,
     kappa_sum,
     poly_add,
@@ -28,6 +28,7 @@ from csd4.kappa import (
     poly_trim,
     share_den,
 )
+from csd4.zpoly import ZPolynomial
 
 
 def test_canonicalize_difference_of_squares():
@@ -528,17 +529,116 @@ def test_kappa_all_zero_matches_kappa_sum(data):
     assert kappa_all_zero(sums) == (not any(kappa_sum(ps) for ps in sums))
     for ps in sums:
         assert kappa_all_zero([ps]) == (not kappa_sum(ps))
-    d, nums = kappa_common_den(xs)
-    assert d[-1] > 0
-    assert [KappaRational(n, d) for n in nums] == xs
-    # Over linear factors d is the least common denominator: the cofactors
-    # d / x.den share no factor.  An unfactored polynomial is one more factor,
-    # taken as coprime to the rest, so there d may exceed the least.
-    if all(len(f) == 2 for x in xs for f in x._factors):
-        g = ()
-        for x in xs:
-            g = poly_gcd(g, poly_div_exact(d, x.den))
-        assert g == (1,)
+
+
+def constructed_product(c, w):
+    """c * w by the constructor from the expanded parts, not by ``__mul__``."""
+    w = w if isinstance(w, KappaRational) else KappaRational(w)
+    return KappaRational(poly_mul(c.num, w.num), poly_mul(c.den, w.den))
+
+
+def scaled(w, s):
+    return w * s if isinstance(w, KappaRational) else poly_scale(w, s)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.data())
+def test_kappa_all_zero_takes_rational_weights(data):
+    # A KappaRational weight w stands for c * w.  Drawn: weights that share
+    # one factor dict at different contents (w and w / 7, also on one c),
+    # weights over a factor that c's numerator carries, opaque quadratics,
+    # and integer weights in the same sums.
+    pool = data.draw(
+        st.lists(st.sampled_from(LINEAR), min_size=3, max_size=3, unique=True)
+    )
+    quadratics = data.draw(st.sampled_from([(), QUADRATICS]))
+    operands = st.lists(factored_operands(pool, quadratics), min_size=1, max_size=3)
+    xs = [x for x, _, _ in data.draw(operands)]
+    xs += [KappaRational(poly_mul(f, x.num), x.den) for x in xs[:1] for f in pool]
+    ws = [w for w, _, _ in data.draw(operands)]
+    ws += [w / 7 for w in ws] + [KappaRational(3) / KappaRational(f) for f in pool]
+    kinds = [*LINEAR_WEIGHTS, "product"]
+    sums = []
+    for _ in range(data.draw(st.integers(0, 4))):
+        picks = data.draw(st.lists(st.sampled_from(xs), max_size=4))
+        ps = [(x, data.draw(st.sampled_from(ws)) if data.draw(st.booleans())
+               else data.draw(weights(pool, x, kinds))) for x in picks]
+        if data.draw(st.booleans()):  # the same c over w's factor dict twice
+            ps += [(x, w / 7) for x, w in ps if isinstance(w, KappaRational)]
+        how = data.draw(st.sampled_from(["as drawn", "negated", "total", "one off"]))
+        if how == "negated":  # each term cancelled by its negated weight
+            ps += [(x, scaled(w, -1)) for x, w in ps]
+        elif how == "total":  # cancelled by one integer-weight term
+            ps.append((-kappa_sum([(constructed_product(x, w), (1,)) for x, w in ps]), (1,)))
+        elif how == "one off" and ps:  # all but one term cancelled
+            rest = ps[1:]
+            ps += [(x * 3, scaled(w, -1)) for x, w in rest]
+            ps += [(x, scaled(w, 2)) for x, w in rest]
+        sums.append(ps)
+    values = [kappa_sum([(constructed_product(x, w), (1,)) for x, w in ps]) for ps in sums]
+    assert all(x * w == constructed_product(x, w) for ps in sums for x, w in ps
+               if isinstance(w, KappaRational))
+    assert kappa_all_zero(sums) == (not any(values))
+    for ps, value in zip(sums, values):
+        assert kappa_all_zero([ps]) == (not value)
+
+
+def test_kappa_all_zero_keys_each_carrier_by_its_weight():
+    # w and w / 2 share one factor dict at two contents, and c and w share
+    # the factor k + 1: (c, w) stands for (k + 2) / (2 (k + 1)^2), so a
+    # carrier keyed without the content, or one whose joined dict keeps
+    # k + 1 once, gets these sums wrong.
+    f, g = (1, 1), (2, 1)
+    c = KappaRational(1, 2) / KappaRational(f)
+    w = KappaRational(g) / KappaRational(f)
+    half = w / 2
+    assert half._factors is w._factors and half._content != w._content
+    want = KappaRational(g, poly_scale(poly_mul(f, f), 2))
+    assert kappa_all_zero([[(c, w), (-want, (1,))]])
+    assert kappa_all_zero([[(c, w), (c, half), (want, (-3,)), (want / 2, (3,))]])
+    assert not kappa_all_zero([[(c, w), (c, half), (want, (-1,))]])
+
+    def fresh():  # weights made and dropped one sum at a time
+        for i in range(2, 300):
+            v = KappaRational(1) / kappa_linear(i, 1)
+            yield [(c, v), (-(c * v), (1,))]
+
+    # a dropped weight's dict id may come back, unless the carrier keeps it
+    assert kappa_all_zero(fresh())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_kappa_sum_over_integer_denominators_packs_nothing(data):
+    # With no factor in any denominator, kappa_sum sums the products as they
+    # are, and reduces once over the content and the factor of ``over``.
+    coeff = st.builds(KappaRational, st.lists(small_ints, min_size=1, max_size=4).map(tuple),
+                      st.integers(2, 12))
+    pairs = [(c, data.draw(st.lists(small_ints, min_size=1, max_size=3).map(poly_trim)))
+             for c in data.draw(st.lists(coeff, max_size=5))]
+    over = data.draw(st.sampled_from([(1,), (-3,), (6,), (2, 1), (-4, 3), (5, -7)]))
+    how = data.draw(st.sampled_from(["as drawn", "zero", "cancelled by over"]))
+    if how == "zero":
+        pairs += [(-c, a) for c, a in pairs]
+    elif how == "cancelled by over":  # over divides the numerator
+        pairs = [(c, poly_mul(a, over)) for c, a in pairs]
+    want = KappaRational(0)
+    for c, a in pairs:
+        want = want + c * KappaRational(a)
+    with mock.patch.object(kappa, "_pack", side_effect=AssertionError("packed")):
+        got = kappa_sum(pairs, over)
+    assert got == want / KappaRational(over)
+    if how == "zero":
+        assert not got
+
+
+def test_apply_to_a_monomial_packs_nothing(monkeypatch):
+    # z^e and the table of L have integer denominators only.
+    packed = []
+    monkeypatch.setattr(kappa, "_pack", lambda p, bits: packed.append(p) or 0)
+    for e in itertools.product(range(4), repeat=4):
+        assert hamiltonian.apply(ZPolynomial.monomial(e)) == hamiltonian.apply_to_monomial(e)
+    assert not packed
 
 
 def test_kappa_all_zero_is_not_fooled_at_a_packing_point():

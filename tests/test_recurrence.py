@@ -189,31 +189,45 @@ def test_residual_nonzero_on_corrupt_table(monkeypatch):
 def test_residual_test_makes_no_pairwise_add(monkeypatch):
     # The identity z_v P_m = sum c_j P_j is tested in one kappa_all_zero, with
     # no KappaRational + or -; kappa_sum runs only in the triangular solve.
+    # Each c_j is a weight of that batch as it stands: KappaRational * runs
+    # only in the triangle, at most once per (higher slot, lower slot) pair.
     cases = ((2, (0, 1, 1, 1)), (1, (2, 1, 1, 0)))
     for v, m in cases:
         rec.expand_product(v, m)  # every solve it needs is cached
-    calls = {"add": 0, "batches": 0, "kappa_sum": 0}
+    calls = {"add": 0, "batches": 0, "kappa_sum": 0, "mul": 0, "mul in batch": 0}
 
     def counted_add(self, other, _add=KappaRational.__add__):
         calls["add"] += 1
         return _add(self, other)
 
+    def counted_mul(self, other, _mul=KappaRational.__mul__):
+        calls["mul"] += 1
+        return _mul(self, other)
+
     def batch(sums, _all_zero=rec.kappa_all_zero):
         calls["batches"] += 1
-        return _all_zero(sums)
+        before = calls["mul"]
+        out = _all_zero(sums)
+        calls["mul in batch"] += calls["mul"] - before
+        return out
 
     def counted_sum(pairs, _sum=rec.kappa_sum):
         calls["kappa_sum"] += 1
         return _sum(pairs)
 
     monkeypatch.setattr(KappaRational, "__add__", counted_add)
+    monkeypatch.setattr(KappaRational, "__mul__", counted_mul)
     monkeypatch.setattr(rec, "kappa_all_zero", batch)
     monkeypatch.setattr(rec, "kappa_sum", counted_sum)
     for v, m in cases:
         rec.expand_product(v, m)
+    slots = [sum(min(a + b for a, b in zip(m, s)) >= 0 for s in rec.SHIFTS[v])
+             for v, m in cases]
     assert calls["batches"] == 2
     assert calls["add"] == 0
     assert 0 < calls["kappa_sum"] <= len(rec.SHIFTS[2]) + len(rec.SHIFTS[1])
+    assert calls["mul in batch"] == 0
+    assert 0 < calls["mul"] <= sum(n * (n - 1) // 2 for n in slots)
 
 
 def test_ladder_matches_solver():

@@ -1,6 +1,7 @@
 """The runtime imports nothing outside the standard library and csd4,
 csd4's modules import one another without a cycle, every name a module
-imports is used, and no module reaches into another's private names."""
+imports is used, no module reaches into another's private names, and no
+top-level function or class is left that nothing reads."""
 
 import ast
 import sys
@@ -125,4 +126,34 @@ def test_every_private_top_level_name_is_read():
         read = {n.id for n in ast.walk(tree)
                 if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
         dead += [(path.name, name) for name in bound if _private(name) and name not in read]
+    assert not dead
+
+
+def _names_read(tree):
+    """The names a module loads, imports or reads as an attribute."""
+    read = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            read.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            read.add(n.attr)
+        elif isinstance(n, ast.alias):
+            read.add(n.name.rpartition(".")[2])
+    return read
+
+
+def test_every_public_top_level_function_and_class_is_read():
+    # A lint: each public def or class at the top level of a csd4 module is
+    # read somewhere, by its own module (a table, a call), another module, a
+    # test or a perfbench file; one that nothing reads is dead code.
+    # Constants are out of scope.
+    root = SRC.parent.parent
+    files = [*SRC.glob("*.py"), *(root / "tests").glob("*.py"), *(root / "perfbench").glob("*.py")]
+    read = set().union(*(_names_read(ast.parse(p.read_text(encoding="utf-8"))) for p in files))
+    dead = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_") and node.name not in read):
+                dead.append((path.name, node.name))
     assert not dead
