@@ -10,13 +10,17 @@ class PoleAtKappa(ArithmeticError):
 
     Raised when a coefficient is specialized at a coupling value where an
     eigenvalue-difference denominator vanishes (a resonance).  ``kappa`` is
-    the offending value; ``mu`` identifies the coefficient, when known.
+    the offending value.  The coefficient, when known, is identified by its
+    shift ``mu`` (an eigenpolynomial's, in root coordinates) or else by its
+    ``exponent`` (any polynomial's).
     """
 
-    def __init__(self, kappa, mu=None):
+    def __init__(self, kappa, mu=None, exponent=None):
         self.kappa = kappa
         self.mu = mu
-        where = f" at coefficient mu={mu}" if mu is not None else ""
+        self.exponent = exponent
+        where = (f" at coefficient mu={mu}" if mu is not None
+                 else f" at exponent {exponent}" if exponent is not None else "")
         super().__init__(f"pole at kappa={kappa}{where}")
 
 

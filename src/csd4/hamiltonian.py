@@ -62,7 +62,7 @@ def _apply_pairs(p: ZPolynomial) -> dict:
     pairs (c, n*a): c a coefficient of p at z^e, n the integer the derivative
     of z^e brings down (e_j, or e_j (e_k - delta_jk)), a the integer c0 + c1*k
     of a term of the table (:func:`_derive` rejects any other entry)."""
-    scaled: dict = {}  # (n, a) -> n*a, one tuple per distinct weight
+    scaled: dict = {}  # (n, a) -> n*a, one tuple per distinct weight, packed once by id
     pairs: dict = {}
     for key, coeff in _TABLE.items():
         for e, c in p.terms.items():

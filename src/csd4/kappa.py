@@ -61,10 +61,6 @@ def poly_mul(a: IntPoly, b: IntPoly) -> IntPoly:
         return _ZERO
     if len(a) > len(b):
         a, b = b, a  # the shorter factor drives the outer loop
-    if len(a) == 2 and a[1] and b[-1]:
-        # A linear factor x + y*k, the common case, in one pass.
-        x, y = a
-        return (x * b[0], *[x * c + y * p for p, c in zip(b, b[1:])], y * b[-1])
     out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca:
@@ -260,7 +256,8 @@ class KappaRational:
     # -- arithmetic ----------------------------------------------------
 
     @staticmethod
-    def _coerce(other):
+    def coerce(other):
+        """other as a KappaRational if it is one, an int or a Fraction; else NotImplemented."""
         if isinstance(other, KappaRational):
             return other
         if isinstance(other, int):
@@ -270,7 +267,7 @@ class KappaRational:
         return NotImplemented
 
     def __add__(self, other):
-        other = self._coerce(other)
+        other = self.coerce(other)
         if other is NotImplemented:
             return NotImplemented
         if not self.num:
@@ -278,15 +275,10 @@ class KappaRational:
         if not other.num:
             return self
         # Knuth's scheme with the lcm of the factored denominators: bring
-        # both numerators up to it and add.  When every factor is linear,
-        # hence irreducible and coprime to the others, only one that both
-        # denominators carry to the same power can divide the sum.
+        # both numerators up to it and add.
         content, top, _ = _lcm((self, other))
-        fs = self._factors
-        test = ([f for f, e in other._factors.items() if fs.get(f) == e]
-                if all(len(f) == 2 for f in top) else None)
         return _reduce(poly_add(_up(self, content, top), _up(other, content, top)),
-                       content, top, test)
+                       content, top)
 
     __radd__ = __add__
 
@@ -294,7 +286,7 @@ class KappaRational:
         return _make(poly_neg(self.num), self._content, self._factors, self._den)
 
     def __sub__(self, other):
-        other = self._coerce(other)
+        other = self.coerce(other)
         if other is NotImplemented:
             return NotImplemented
         return self + (-other)
@@ -303,7 +295,7 @@ class KappaRational:
         return -self + other
 
     def __mul__(self, other):
-        other = self._coerce(other)
+        other = self.coerce(other)
         if other is NotImplemented:
             return NotImplemented
         if not self.num or not other.num:
@@ -324,7 +316,7 @@ class KappaRational:
         return _make(poly_neg(self.den) if sign < 0 else self.den, content, factors)
 
     def __truediv__(self, other):
-        other = self._coerce(other)
+        other = self.coerce(other)
         if other is NotImplemented:
             return NotImplemented
         return self * other.inverse()
@@ -348,7 +340,7 @@ class KappaRational:
     # -- comparisons / hashing / display -------------------------------
 
     def __eq__(self, other):
-        other = self._coerce(other)
+        other = self.coerce(other)
         if other is NotImplemented:
             return NotImplemented
         return self.num == other.num and self.den == other.den

@@ -78,8 +78,7 @@ def expand_product(v: int, m) -> RecurrenceExpansion:
     for e in polys:
         c = base.get((*e[:i], e[i] - 1, *e[i + 1:]), _ZERO)
         higher = [(b * polys[s][e], _MINUS) for s, b in terms.items() if e in polys[s]]
-        if higher:
-            c = kappa_sum([(c, _PLUS), *higher])
+        c = kappa_sum([(c, _PLUS), *higher])
         if c:
             terms[e] = c
     rows = {}  # exponent -> the pairs of z_v P_m - sum c_j P_j there

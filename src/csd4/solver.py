@@ -272,7 +272,7 @@ def specialize(p: CSPolynomial, kappa0) -> ZPolynomial:
     try:
         return p.polynomial.substitute_kappa(kappa0)
     except PoleAtKappa as exc:
-        shift = tuple(p.m[i] - exc.mu[i] for i in range(4))
+        shift = tuple(p.m[i] - exc.exponent[i] for i in range(4))
         raise PoleAtKappa(exc.kappa, mu=weight_to_root(shift)) from exc
 
 

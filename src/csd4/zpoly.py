@@ -61,7 +61,7 @@ class ZPolynomial:
             return
         clean = {}
         for exps, coeff in (terms or {}).items():
-            c = KappaRational._coerce(coeff)
+            c = KappaRational.coerce(coeff)
             if c is NotImplemented:
                 raise TypeError(f"bad coefficient {coeff!r} for {exps}")
             if c:
@@ -118,7 +118,7 @@ class ZPolynomial:
         return (-self) + other
 
     def __mul__(self, other):
-        scalar = KappaRational._coerce(other)
+        scalar = KappaRational.coerce(other)
         if scalar is not NotImplemented:
             if not scalar:
                 return ZPolynomial.zero()
@@ -152,7 +152,7 @@ class ZPolynomial:
     def _coerce(self, other):
         if isinstance(other, ZPolynomial):
             return other
-        scalar = KappaRational._coerce(other)
+        scalar = KappaRational.coerce(other)
         if scalar is NotImplemented:
             return NotImplemented
         return ZPolynomial.constant(scalar)
@@ -173,14 +173,15 @@ class ZPolynomial:
         return ZPolynomial(out, _raw=True)
 
     def substitute_kappa(self, kappa0) -> "ZPolynomial":
-        """Exact coupling substitution; coefficients become constants."""
+        """Exact coupling substitution; coefficients become constants.  A pole
+        raises :class:`PoleAtKappa` with the coefficient's ``exponent``."""
         kappa0 = Fraction(kappa0)
         out = {}
         for exps, coeff in self.terms.items():
             try:
                 value = coeff.substitute(kappa0)
             except PoleAtKappa as exc:
-                raise PoleAtKappa(kappa0, mu=exps) from exc
+                raise PoleAtKappa(kappa0, exponent=exps) from exc
             if value:
                 out[exps] = KappaRational.from_fraction(value)
         return ZPolynomial(out, _raw=True)

@@ -278,3 +278,21 @@ def test_json_keys_sorted(capsys):
     _, out = run(capsys, "compute", "--m", "1,0,1,0")
     obj = json.loads(out)
     assert list(obj) == sorted(obj)
+
+
+def test_readme_library_example_prints_its_comments(capsys):
+    # Each print in the README's library example is followed by the line it
+    # writes, as a comment.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library example", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    want = [line.split("  # ", 1)[1] for line in block.splitlines() if line.startswith("print(")]
+    assert len(want) == 4
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == want
+
+
+def test_readme_text_format_examples(capsys):
+    # The --format text lines the README quotes.
+    assert run(capsys, "compute", "--m", "1,1,0,0", "--kappa", "1", "--format", "text") == (
+        0, "(1)*z1*z2 + (-1)*z3*z4\n")
+    assert run(capsys, "dims", "--m", "0,1,0,0", "--format", "text") == (0, "28\n")

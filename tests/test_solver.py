@@ -144,6 +144,25 @@ def test_specialize_pole_reports_mu():
     assert poles > 0
 
 
+def test_pole_messages_name_an_exponent_or_a_shift():
+    # A polynomial's substitute_kappa knows the exponent of the coefficient;
+    # specialize, and solve_at through its fallback, name the shift mu.
+    k0 = Fraction(-1, 3)
+    p = solver.solve((2, 0, 0, 0))
+    with pytest.raises(PoleAtKappa) as err:
+        p.polynomial.substitute_kappa(k0)
+    assert (err.value.exponent, err.value.mu, err.value.kappa) == ((0, 0, 0, 0), None, k0)
+    assert str(err.value) == "pole at kappa=-1/3 at exponent (0, 0, 0, 0)"
+    with pytest.raises(PoleAtKappa) as err:
+        solver.specialize(p, k0)
+    assert str(err.value) == "pole at kappa=-1/3 at coefficient mu=(2, 2, 1, 1)"
+    solver.clear_cache()
+    with pytest.raises(PoleAtKappa) as fallback:
+        solver.solve_at((2, 0, 0, 0), k0)
+    assert str(fallback.value) == str(err.value)
+    assert fallback.value.mu == (2, 2, 1, 1)
+
+
 def test_verify_eigen():
     assert solver.verify_eigen(solver.solve((1, 1, 0, 0)))
     assert solver.verify_eigen(solver.solve((0, 0, 0, 0)))
@@ -326,6 +345,63 @@ def test_even_special_coupling_family_exact():
     for z in ((Fraction(1, 3), Fraction(-2, 5), 2, Fraction(7, 4)),
               (-3, Fraction(5, 6), Fraction(-1, 7), 1)):
         assert got.eval_exact(z) == base.eval_exact(z) ** 4, z
+
+
+def _dominant(total):
+    return [m for m in itertools.product(range(total + 1), repeat=4) if sum(m) <= total]
+
+
+def _strip(den, f):
+    """den with every power of f that divides it divided out."""
+    while True:
+        try:
+            den = kappa.poly_div_exact(den, f)
+        except ArithmeticError:
+            return den
+
+
+def test_every_pole_is_root_type():
+    # Every denominator of P_m is an integer times primitive linear factors
+    # <m, a> - j + ht(a) k, for a positive root a (its own coroot in D4, so
+    # <m, a> is m dotted with a in root coordinates) and 1 <= j <= <m, a> - 1.
+    # Each distinct denominator is divided by these candidates until an
+    # integer is left.
+    weights = _dominant(6)
+    assert len(weights) == 210
+    try:
+        for m in weights:
+            candidates = set()
+            for a in rs.positive_roots():
+                n = sum(x * y for x, y in zip(m, a))
+                candidates.update(kappa.poly_primitive((n - j, rs.height(a)))
+                                  for j in range(1, n))
+            for den in {c.den for c in solver.solve(m).coefficients.values()}:
+                for f in candidates:
+                    den = _strip(den, f)
+                assert len(den) == 1, (m, den)
+    finally:
+        solver.clear_cache()
+
+
+def test_half_integer_duality(monkeypatch):
+    # k(k - 1)/sin^2 is the same at k and 1 - k, and delta = P_(2,2,2,2)(-1/2)
+    # is the Weyl denominator squared, so delta^n P_m(n + 1/2) is the
+    # eigenpolynomial with leading exponent m + 2n rho at 1/2 - n, where no
+    # walk falls back to a symbolic solve (none may run here).
+    solver.clear_cache()
+    monkeypatch.setattr(solver, "solve", None)
+    delta = solver.solve_at((2, 2, 2, 2), Fraction(-1, 2))
+    checked = 0
+    for n, total in ((1, 3), (2, 2)):
+        power = delta**n
+        for m in _dominant(total):
+            left = solver.solve_at(tuple(x + 2 * n for x in m), Fraction(1, 2) - n)
+            assert left == power * solver.solve_at(m, n + Fraction(1, 2)), (n, m)
+            checked += 1
+    assert checked == 50
+    # the wrong coupling on the right breaks it, for a P_m that depends on k
+    left = solver.solve_at((2, 3, 2, 2), Fraction(-1, 2))
+    assert left != delta * solver.solve_at((0, 1, 0, 0), Fraction(5, 2))
 
 
 def test_equal_denominators_share_one_expansion():
