@@ -9,13 +9,13 @@ Every denominator the solver meets is a product of eigenvalue differences
 ``eps(e) - eps(m)``, linear in the coupling, so a denominator is stored
 factored: a positive integer content times primitive factors ``a + b*k``
 (``b > 0``) with multiplicities.  A sum brings each numerator up to the lcm
-of the denominators: :func:`kappa_sum`, the n-term dot product, on integers
-packed by Kronecker substitution once a denominator has a factor, and
-:func:`kappa_all_zero`, a zero test of many sums with integer or rational
-weights that reduces none.  Lowest terms take one synthetic division per
-linear factor and one integer gcd for the content; :func:`poly_gcd` runs
-only on a non-linear factor of no known factorization (from a string, the
-constructor, or the inverse of a non-linear numerator).
+of the denominators.  Both sum kernels read pairs (c, a), a an integer
+polynomial or a ``KappaRational``: :func:`kappa_sum`, the dot product, on
+integers packed by Kronecker substitution once a denominator has a factor,
+and :func:`kappa_all_zero`, a zero test of many sums that reduces none.
+Lowest terms take a synthetic division per linear factor, an integer gcd
+for the content, and :func:`poly_gcd` only for a non-linear factor of no
+known factorization (from a string, the constructor, or an inverse).
 
 Polynomials are stored as tuples of integer coefficients, lowest degree
 first, with no trailing zeros; the empty tuple is the zero polynomial.
@@ -486,9 +486,8 @@ def _unpack(x: int, bits: int) -> IntPoly:
 
 
 def kappa_sum(terms, over: IntPoly = _ONE, memo=None) -> KappaRational:
-    """The dot product sum(c * a) over pairs of a ``KappaRational`` c and an
-    integer polynomial a, divided by ``over`` (nonzero, of degree at most 1),
-    with one reduction over one lcm (:func:`_lcm`) joined to ``over``.
+    """sum(c * a) over the pairs of :func:`_pairs`, divided by ``over`` (nonzero,
+    of degree at most 1), reduced once over one lcm (:func:`_lcm`) and ``over``.
 
     With integer denominators only, the products c.num * a are summed as
     they are.  Otherwise each is multiplied up to the lcm as an integer
@@ -497,22 +496,20 @@ def kappa_sum(terms, over: IntPoly = _ONE, memo=None) -> KappaRational:
     have, and the packed sum unpacks to the numerator N.  A linear factor f
     can divide N only if f(2**bits) divides the packed sum, so only those,
     and any non-linear factor, are tested.  ``memo`` (by default, one per
-    call) keeps, by id(c), c itself, its bit bound and its packings.
+    call) keeps the carriers and, by id(c), c, its bit bound and packings.
     """
-    terms = [(c, a) for c, a in terms if c.num and a]
+    memo = {} if memo is None else memo
+    terms = _pairs(terms, memo)
     if not terms:
         return _KR_ZERO
     content, top, dicts = _lcm([c for c, _ in terms])
     sign, oc, of = _factor(over)
-    factors = dict(top)
-    for f in of:
-        factors[f] = factors.get(f, 0) + 1
+    factors = _joined(top, of)
     if not top:  # integer denominators: the products summed as they are
         num, test = _ZERO, None
         for c, a in terms:
             num = poly_add(num, poly_scale(poly_mul(c.num, a), content // c._content))
     else:
-        memo = {} if memo is None else memo
         fbits = {f: sum(map(abs, f)).bit_length() for f in top}  # of |f|_1
         # what each distinct factor dict lacks of the lcm, with its bits
         miss = {k: [(f, e - fs.get(f, 0)) for f, e in top.items() if e > fs.get(f, 0)]
@@ -567,15 +564,18 @@ def _carrier(c: KappaRational, w: KappaRational, memo: dict) -> tuple:
     return hit[0], w.num
 
 
+def _pairs(terms, memo: dict) -> list:
+    """The nonzero pairs (c, a) of a sum, a rational a by its :func:`_carrier`."""
+    return [_carrier(c, a, memo) if a.__class__ is KappaRational else (c, a)
+            for c, a in terms if c.num and a]
+
+
 def kappa_all_zero(sums) -> bool:
-    """``not any(sum(c * w for c, w in ps) for ps in sums)``, w an integer
-    polynomial or a ``KappaRational`` (carried by :func:`_carrier`), over one
-    lcm and one packing width (the bound of :func:`kappa_sum`): one cofactor
-    per distinct factor dict, each distinct c and w packed once (by id), and
-    each sum one integer dot product, none reduced."""
+    """``not any(kappa_sum(ps) for ps in sums)``, over one lcm and one packing
+    width (the bound of :func:`kappa_sum`): one cofactor per factor dict,
+    each c and a packed once (by id), each sum one integer dot product."""
     memo: dict = {}
-    sums = [[_carrier(c, a, memo) if a.__class__ is KappaRational else (c, a)
-             for c, a in ps if c.num and a] for ps in sums]
+    sums = [_pairs(ps, memo) for ps in sums]
     cs = {id(c): c for ps in sums for c, _ in ps}
     ws = {id(a): a for ps in sums for _, a in ps}
     content, top, dicts = _lcm(cs.values())

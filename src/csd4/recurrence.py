@@ -3,13 +3,13 @@
 Multiplying an eigenpolynomial by z_v expands again in the eigenbasis, with
 quantum numbers shifted by the weights of the v-th fundamental
 representation; at unit coupling the expansion degenerates to the ordinary
-Clebsch-Gordan series.  The basis is unitriangular in the height order, so
-each admissible slot's coefficient follows from the slot's own exponent and
-the slots above it.  The whole identity z_v P_m = sum c_j P_j is then
-zero-tested in one exact batch (:func:`~csd4.kappa.kappa_all_zero`), which
-also verifies that only the admissible shift slots appear.  Each c_j enters
-that batch as a rational weight on the coefficients of P_j, as it stands:
-no product c_j P_j is formed, and nothing is cleared to a common denominator.
+Clebsch-Gordan series.  The identity z_v P_m - sum c_j P_j is kept as one
+row of pairs per exponent, each c_j a rational weight on the coefficients of
+P_j as it stands.  The basis is unitriangular in the height order, so each
+admissible slot's coefficient is the :func:`~csd4.kappa.kappa_sum` of its
+own row once the slots above it are in; one exact batch
+(:func:`~csd4.kappa.kappa_all_zero`) then zero-tests every row, which also
+verifies that only the admissible shift slots appear.
 """
 
 from __future__ import annotations
@@ -34,8 +34,6 @@ SHIFTS = {
 }
 SHIFTS[2] += ((0, 0, 0, 0),)
 _RHO1, _RHO2, _RHO3, _RHO4 = WEYL_VECTOR_ROOT
-_ZERO = KappaRational(0)
-_PLUS, _MINUS = (1,), (-1,)  # kappa_sum weights
 
 
 def _monomial_key(e):
@@ -60,34 +58,27 @@ class RecurrenceExpansion:
 def expand_product(v: int, m) -> RecurrenceExpansion:
     """Expand z_v times the eigenpolynomial of m in the eigenbasis.
 
-    The admissible slots, highest first, are solved for one at a time at
-    their own exponent e, where z_v P_m has the coefficient P_m[e - delta_v]
-    and every higher P_j is known.  Then the whole identity
-    z_v P_m - sum c_j P_j = 0 is tested for zero in one
-    :func:`~csd4.kappa.kappa_all_zero`, its rows the pairs (P_m[e - delta_v], 1)
-    and (P_j[e], -c_j), each -c_j a rational weight.  A nonzero row names the
-    leading remainder in the error.
+    ``rows`` maps each exponent e to the pairs of z_v P_m - sum c_j P_j
+    there: (P_m[e - delta_v], 1) and (P_j[e], -c_j), each -c_j a rational
+    weight.  The admissible slots are taken highest first; P_j is monic and
+    no lower P_j reaches a slot's exponent s, so c_s is the sum of row s as
+    it stands, and a nonzero c_s adds its pairs to the rows of P_s.  Then
+    one :func:`~csd4.kappa.kappa_all_zero` tests every row for zero.  A
+    nonzero row names the leading remainder in the error.
     """
     m = tuple(m)
-    base = solve(m).polynomial.terms
     slots = {tuple(m[i] + s[i] for i in range(4)) for s in SHIFTS[v]}
-    polys = {e: solve(e).polynomial.terms
-             for e in sorted(slots, key=_monomial_key, reverse=True) if min(e) >= 0}
     i = v - 1
-    terms = {}
-    for e in polys:
-        c = base.get((*e[:i], e[i] - 1, *e[i + 1:]), _ZERO)
-        higher = [(b * polys[s][e], _MINUS) for s, b in terms.items() if e in polys[s]]
-        c = kappa_sum([(c, _PLUS), *higher])
-        if c:
-            terms[e] = c
     rows = {}  # exponent -> the pairs of z_v P_m - sum c_j P_j there
-    for e, c in base.items():
-        rows.setdefault((*e[:i], e[i] + 1, *e[i + 1:]), []).append((c, _PLUS))
-    for s, c in terms.items():
-        w = -c
-        for e, p in polys[s].items():
-            rows.setdefault(e, []).append((p, w))
+    for e, c in solve(m).polynomial.terms.items():
+        rows.setdefault((*e[:i], e[i] + 1, *e[i + 1:]), []).append((c, (1,)))
+    terms = {}
+    for s in sorted(slots, key=_monomial_key, reverse=True):
+        if min(s) >= 0 and (c := kappa_sum(rows.get(s, ()))):
+            terms[s] = c
+            w = -c
+            for e, p in solve(s).polynomial.terms.items():
+                rows.setdefault(e, []).append((p, w))
     if not kappa_all_zero(rows.values()):
         lead = max((e for e, pairs in rows.items() if not kappa_all_zero([pairs])),
                    key=_monomial_key)

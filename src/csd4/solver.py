@@ -104,7 +104,7 @@ class CSPolynomial:
 
     @classmethod
     def from_fixture_obj(cls, obj) -> "CSPolynomial":
-        m = tuple(obj["m"])
+        m = check_dominant(obj["m"])
         eps = KappaRational.parse(obj["epsilon"]["num"], obj["epsilon"]["den"])
         coefficients = {}
         terms = {}

@@ -36,9 +36,17 @@ def to_rows(key: str, items) -> list:
 
 
 def from_rows(key: str, rows):
-    """Yield (vector, KappaRational) per row; ``num`` and ``den`` are required."""
+    """Yield (vector, KappaRational) per row; ``num`` and ``den`` are required.
+    A vector not of four non-negative ints, or repeated, raises ValueError."""
+    seen = set()
     for row in rows:
-        yield tuple(row[key]), KappaRational.parse(row["num"], row["den"])
+        vector = tuple(row[key]) if isinstance(row[key], (list, tuple)) else ()
+        if len(vector) != 4 or not all(type(n) is int and n >= 0 for n in vector):
+            raise ValueError(f"bad {key!r} in coefficient row {row}")
+        if vector in seen:
+            raise ValueError(f"repeated {key!r} in coefficient row {row}")
+        seen.add(vector)
+        yield vector, KappaRational.parse(row["num"], row["den"])
 
 
 def _add_term(out: dict, exps, coeff) -> None:

@@ -1,5 +1,9 @@
 """The bundled reference corpus must be reproduced with exact equality."""
 
+import json
+
+import pytest
+
 from csd4 import fixtures, solver
 from csd4.zpoly import ZPolynomial
 
@@ -38,11 +42,47 @@ def test_corpus_shape():
 
 
 def test_fixture_dir_env_override(tmp_path, monkeypatch):
-    import json
-
     data = [{"m": [9, 9, 9, 9], "terms": []}]
     with open(tmp_path / "characters.json", "w", encoding="utf-8") as fh:
         json.dump(data, fh)
     monkeypatch.setenv(fixtures.ENV_VAR, str(tmp_path))
     assert fixtures.fixtures_dir() == tmp_path
     assert fixtures.load("characters") == data
+
+
+def _row(key, vector):
+    return {key: vector, "num": "1", "den": "1"}
+
+
+def _fixture(m=(1, 0, 0, 0), mu=(0, 0, 0, 0)):
+    return {"m": list(m), "epsilon": {"num": "0", "den": "1"}, "coeffs": [_row("mu", list(mu))]}
+
+
+def _terms(*vectors):
+    return {"m": [1, 0, 0, 0], "terms": [_row("exponents", v) for v in vectors]}
+
+
+@pytest.mark.parametrize("name, entry, message", [
+    pytest.param("characters", _terms([1, 2, 3]), "bad 'exponents'", id="short-exponents"),
+    pytest.param("characters", _terms([1, -2, 0, 0]), "bad 'exponents'", id="negative-exponent"),
+    pytest.param("characters", _terms([True, 0, 0, 0]), "bad 'exponents'", id="bool-exponent"),
+    pytest.param("characters", _terms(1), "bad 'exponents'", id="scalar-exponents"),
+    pytest.param("monomials", _terms([1, 0, 0, 0], [1, 0, 0, 0]), "repeated 'exponents'",
+                 id="repeated-exponents"),
+    pytest.param("polynomials", _fixture(m=(1, 0, 0)), "bad weight", id="short-m"),
+    pytest.param("polynomials", _fixture(mu=(0, 0, 0)), "bad 'mu'", id="short-mu"),
+    pytest.param("polynomials", {**_fixture(), "coeffs": [_row("mu", [0, 0, 0, 0])] * 2},
+                 "repeated 'mu'", id="repeated-mu"),
+])
+def test_malformed_fixture_rows_are_rejected_at_load(tmp_path, monkeypatch, name, entry, message):
+    # A bad row fails where it is read, naming its key and the row, not at
+    # the first product (IndexError) or by overwriting an earlier row.
+    with open(tmp_path / f"{name}.json", "w", encoding="utf-8") as fh:
+        json.dump([entry], fh)
+    monkeypatch.setenv(fixtures.ENV_VAR, str(tmp_path))
+    (entry,) = fixtures.load(name)
+    with pytest.raises(ValueError, match=message):
+        if name == "polynomials":
+            solver.CSPolynomial.from_fixture_obj(entry)
+        else:
+            ZPolynomial.from_json_obj(entry["terms"])

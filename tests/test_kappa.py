@@ -544,10 +544,11 @@ def scaled(w, s):
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(st.data())
 def test_kappa_all_zero_takes_rational_weights(data):
-    # A KappaRational weight w stands for c * w.  Drawn: weights that share
-    # one factor dict at different contents (w and w / 7, also on one c),
-    # weights over a factor that c's numerator carries, opaque quadratics,
-    # and integer weights in the same sums.
+    # A KappaRational weight w stands for c * w, in kappa_sum as in
+    # kappa_all_zero.  Drawn: weights that share one factor dict at
+    # different contents (w and w / 7, also on one c), weights over a factor
+    # that c's numerator carries, opaque quadratics, and integer weights in
+    # the same sums.
     pool = data.draw(
         st.lists(st.sampled_from(LINEAR), min_size=3, max_size=3, unique=True)
     )
@@ -581,6 +582,7 @@ def test_kappa_all_zero_takes_rational_weights(data):
     assert kappa_all_zero(sums) == (not any(values))
     for ps, value in zip(sums, values):
         assert kappa_all_zero([ps]) == (not value)
+        assert kappa_sum(ps) == value
 
 
 def test_kappa_all_zero_keys_each_carrier_by_its_weight():

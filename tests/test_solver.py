@@ -383,6 +383,33 @@ def test_every_pole_is_root_type():
         solver.clear_cache()
 
 
+def _rising(x: KappaRational, n: int) -> KappaRational:
+    out = KappaRational(1)
+    for j in range(n):
+        out = out * (x + j)
+    return out
+
+
+def test_evaluation_at_the_identity():
+    # At the identity of the torus the characters are the dimensions, and
+    # P_m(8, 28, 8, 8) = prod_{a > 0} ((ht a + 1) k)_<m,a> / ((ht a) k)_<m,a>,
+    # (x)_n the rising factorial: Macdonald's evaluation formula, proved by
+    # Opdam (Invent. Math. 98, 1989).
+    k = kappa.kappa_linear(0, 1)
+    weights = _dominant(4)
+    assert len(weights) == 70
+    for m in weights:
+        want = KappaRational(1)
+        for a in rs.positive_roots():
+            n, h = rs.inner(m, rs.root_to_weight(a)), rs.height(a)
+            assert n.denominator == 1
+            want = want * _rising((h + 1) * k, int(n)) / _rising(h * k, int(n))
+        terms = solver.solve(m).polynomial.terms.items()
+        got = kappa.kappa_sum([(c, (8 ** e1 * 28 ** e2 * 8 ** e3 * 8 ** e4,))
+                               for (e1, e2, e3, e4), c in terms])
+        assert got == want, m
+
+
 def test_half_integer_duality(monkeypatch):
     # k(k - 1)/sin^2 is the same at k and 1 - k, and delta = P_(2,2,2,2)(-1/2)
     # is the Weyl denominator squared, so delta^n P_m(n + 1/2) is the
