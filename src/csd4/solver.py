@@ -14,11 +14,14 @@ polynomial in the coupling (so the symbolic solve never divides by zero).
 The pass is written once over a pluggable scalar: :func:`solve` runs it on
 rational functions of the coupling, where each coefficient is one
 :func:`csd4.kappa.kappa_sum` that divides as it sums, and the walk does
-no other rational-function arithmetic; :func:`solve_at` runs it on exact
-rationals at one coupling value.  A coefficient's own work is done once
-per solve, not once per sum it feeds: its bound and packing (the memo of
-:func:`~csd4.kappa.kappa_sum`) and the expansion of its denominator
-(:func:`~csd4.kappa.share_den`, from a twin one factor smaller).
+no other rational-function arithmetic; :func:`solve_at` runs it on
+integers at one rational coupling p/q, where a pair (c0, c1) is lifted to
+the integer q*(c0 + c1*p/q) and each coefficient is one integer dot
+product made one Fraction, so the walk makes no Fraction arithmetic.  A
+coefficient's own work is done once per solve, not once per sum it feeds:
+its bound and packing (the memo of :func:`~csd4.kappa.kappa_sum`) and the
+expansion of its denominator (:func:`~csd4.kappa.share_den`, from a twin
+one factor smaller).
 
 Triality permutes z1, z3, z4 and commutes with L, so a permutation sigma
 that fixes m fixes the monic eigenpolynomial too: c(sigma mu) = c(mu).  The
@@ -33,6 +36,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import itemgetter
 from types import MappingProxyType
 from typing import NamedTuple
@@ -227,36 +231,46 @@ def solve_at(m, kappa0) -> ZPolynomial:
     ``specialize(solve(m), kappa0)`` returns it: the same constant
     coefficients, in the same term order.
 
-    One :func:`_walk` over exact rationals at ``kappa0``.  Where no
-    eigenvalue difference on the cone vanishes at ``kappa0``, each step
-    evaluates the symbolic step's rational function there, so the values
-    agree; every denominator of the symbolic result is a product of those
-    differences, so a pole at ``kappa0`` always shows up as one vanishing.
-    If one does, the walk is abandoned for ``specialize(solve(m), kappa0)``,
-    which places any :class:`PoleAtKappa` and its mu exactly.  A solve
-    already cached is specialized directly.
+    One :func:`_walk` on integers at ``kappa0 = p/q``: each pair (c0, c1)
+    is lifted to the integer ``c0*q + c1*p``, q times its value, and a
+    coefficient is the integer sum of its pairs' numerators times their
+    lifts, over the lcm of their denominators, made one Fraction with the
+    lifted eigenvalue difference, whose factor q cancels that of the lifts.
+    So each coefficient costs one gcd and no Fraction arithmetic, and like
+    :func:`solve` the orbit members of a coefficient share its object.
+    Where no eigenvalue difference on the cone vanishes at ``kappa0``, each
+    step evaluates the symbolic step's rational function there, so the
+    values agree; every denominator of the symbolic result is a product of
+    those differences, so a pole at ``kappa0`` always shows up as one
+    vanishing.  If one does, the walk is abandoned for
+    ``specialize(solve(m), kappa0)``, which places any :class:`PoleAtKappa`
+    and its mu exactly.  A solve already cached is specialized directly.
     """
     m = check_dominant(m)
     kappa0 = Fraction(kappa0)
     if m in _CACHE:
         return specialize(_CACHE[m], kappa0)
 
+    p, q = kappa0.numerator, kappa0.denominator
+
     def lift(c0, c1):
-        return c0 + c1 * kappa0
+        return c0 * q + c1 * p  # q times c0 + c1*kappa0
 
     def quotient(pairs, denom):
         # checked even for a zero sum: 0/0 is no value
         d = lift(*denom)
         if not d:
             raise PoleAtKappa(kappa0)
-        return sum(c * a for c, a in pairs) / d
+        # the factor q of every lift a cancels against the one of d
+        den = lcm(*[c.den[0] for c, _ in pairs])
+        n = sum(c.num[0] * (den // c.den[0]) * a for c, a in pairs)
+        return KappaRational.from_fraction(Fraction(n, den * d))
 
     try:
-        _, terms = _walk(m, Fraction(1), lift, quotient)
+        _, terms = _walk(m, KappaRational(1), lift, quotient)
     except PoleAtKappa:
         return specialize(solve(m), kappa0)
-    return ZPolynomial({e: KappaRational.from_fraction(c) for e, c in terms.items()},
-                       _raw=True)
+    return ZPolynomial(terms, _raw=True)
 
 
 def clear_cache() -> None:

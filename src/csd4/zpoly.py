@@ -195,11 +195,18 @@ class ZPolynomial:
         return ZPolynomial(out, _raw=True)
 
     def eval_complex(self, z) -> complex:
-        """Numeric value at a point; requires constant coefficients."""
+        """Numeric value at a point; requires constant coefficients.
+
+        A coefficient is read as the int/int quotient of its numerator and
+        denominator, the value ``complex(coeff.as_fraction())`` rounds to,
+        without building a Fraction per term."""
         z1, z2, z3, z4 = z
         total = 0j
         for exps, coeff in self.terms.items():
-            c = complex(coeff.as_fraction())
+            num, den = coeff.num, coeff.den
+            if len(num) > 1 or len(den) > 1:
+                raise ValueError(f"{coeff} is not constant in the coupling")
+            c = num[0] / den[0]
             total += c * z1 ** exps[0] * z2 ** exps[1] * z3 ** exps[2] * z4 ** exps[3]
         return total
 

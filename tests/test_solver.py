@@ -249,8 +249,8 @@ def test_cached_coefficients_are_read_only():
     assert solver.verify_eigen(again)
 
 
-# The two scalars of the one walk: the symbolic solve, and the walk over
-# exact rationals at a coupling (here the generic 7/10).
+# The two scalars of the one walk: the symbolic solve, and the walk on
+# integers at a coupling (here the generic 7/10).
 WALKS = {
     "symbolic": lambda m: solver.solve(m).polynomial,
     "field": lambda m: solver.solve_at(m, Fraction(7, 10)),
@@ -260,7 +260,7 @@ WALKS = {
 @pytest.mark.parametrize("walk", WALKS.values(), ids=WALKS.keys())
 def test_walk_makes_no_rational_function_arithmetic(monkeypatch, walk):
     # The walk reads L as integer pairs and forms each coefficient in one
-    # kappa_sum over its eigenvalue difference (or in Fraction at a value).
+    # kappa_sum over its eigenvalue difference (or one integer sum at a value).
     calls = []
     for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
                  "__truediv__", "__rtruediv__", "inverse"):
@@ -274,6 +274,24 @@ def test_walk_makes_no_rational_function_arithmetic(monkeypatch, walk):
     finally:
         solver.clear_cache()
     assert calls == []
+
+
+def test_field_walk_makes_no_fraction_arithmetic(monkeypatch):
+    # solve_at lifts each pair to an integer and sums each coefficient as
+    # one integer dot product, made one Fraction with its difference.
+    calls = []
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__truediv__", "__rtruediv__"):
+        def counted(*args, _op=getattr(Fraction, name), _name=name):
+            calls.append(_name)
+            return _op(*args)
+        monkeypatch.setattr(Fraction, name, counted)
+    solver.clear_cache()
+    try:
+        p = solver.solve_at((2, 2, 2, 2), Fraction(7, 10))
+    finally:
+        solver.clear_cache()
+    assert calls == [] and len(p) == 89
 
 
 @pytest.mark.parametrize("walk", WALKS.values(), ids=WALKS.keys())
@@ -304,8 +322,9 @@ def test_solve_at_equals_specialize():
     # Term for term and in the same order (eval_complex sums in that order),
     # or the same pole.  At k = -1/2 the walk meets 0/0 on (0,0,1,2) and
     # (0,0,2,2): a pair sum and an eigenvalue difference both vanish, and
-    # only the fallback gives the right value or pole.
-    couplings = [Fraction(k) for k in ("0", "1", "7/10", "-1/2", "-3/2")]
+    # only the fallback gives the right value or pole.  -7/3 and 22/7 have
+    # |p| > 1 and q > 1, so a lift c0*q + c1*p with p and q mixed up fails.
+    couplings = [Fraction(k) for k in ("0", "1", "7/10", "-1/2", "-3/2", "-7/3", "22/7")]
     resonant = walked = 0
     for m in itertools.product(range(5), repeat=4):
         if sum(m) > 4:
@@ -531,11 +550,13 @@ def test_solve_matches_recorded_digest(m):
 
 
 def test_orbit_images_share_the_coefficient_object():
-    # Every triality permutation fixes (4,4,4,4): the solve computes one
-    # coefficient per orbit and hands the same object to the other members.
+    # Every triality permutation fixes (4,4,4,4): the solve, and the walk at
+    # a coupling, compute one coefficient per orbit and hand the same object
+    # to the other members.
     m = (4, 4, 4, 4)
     solver.clear_cache()
     try:
+        field = solver.solve_at(m, Fraction(7, 10)).terms
         coeffs = solver.solve(m).coefficients
     finally:
         solver.clear_cache()
@@ -544,6 +565,8 @@ def test_orbit_images_share_the_coefficient_object():
         assert rs.apply_triality(m, sigma) == m
         for mu, c in coeffs.items():
             assert coeffs[rs.apply_triality(mu, sigma)] is c, (sigma, mu)
+        for e, c in field.items():
+            assert field[rs.apply_triality(e, sigma)] is c, (sigma, e)
 
 
 def test_shared_coefficients_render_once(monkeypatch):

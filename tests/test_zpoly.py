@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from csd4 import qspace, solver
 from csd4.errors import PoleAtKappa
 from csd4.kappa import KappaRational
 from csd4.zpoly import Z1, Z2, Z3, Z4, ZPolynomial
@@ -46,6 +47,18 @@ def test_eval_exact_and_complex():
     p = Z1**2 - Z2 * 2
     assert p.eval_exact((3, 4, 0, 0)) == 1
     assert abs(p.eval_complex((3 + 0j, 4 + 0j, 0j, 0j)) - 1) < 1e-12
+
+
+def test_eval_complex_reads_each_coefficient_as_its_fraction():
+    # Bit for bit the sum of complex(Fraction) terms, in term order.
+    p = solver.solve_at((2, 5, 1, 0), Fraction(7, 10))
+    z1, z2, z3, z4 = z = qspace.characters_from_q((0.31, 0.83, 1.37, 1.91))
+    want = 0j
+    for e, c in p.terms.items():
+        want += complex(c.as_fraction()) * z1 ** e[0] * z2 ** e[1] * z3 ** e[2] * z4 ** e[3]
+    assert len(p) == 130 and p.eval_complex(z) == want
+    with pytest.raises(ValueError):
+        solver.solve((1, 1, 0, 0)).polynomial.eval_complex(z)
 
 
 def test_permute_variables():
