@@ -29,11 +29,12 @@ def _parse_m(text: str):
         parts = tuple(int(x) for x in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad quantum numbers {text!r}")
-    if len(parts) != 4 or any(c < 0 for c in parts):
+    try:
+        return rootsystem.check_dominant(parts)
+    except ValueError:
         raise argparse.ArgumentTypeError(
             f"quantum numbers must be four nonnegative integers, got {text!r}"
-        )
-    return parts
+        ) from None
 
 
 # argparse reads an argument starting with "-" as an option unless it looks

@@ -16,9 +16,6 @@ from .kappa import KappaRational
 from .series import TauSeries
 from .zpoly import Z1, Z2, ZPolynomial
 
-LABELS = ("F0", "G0", "F1", "G1")
-
-
 _Z34_MINUS_Z1 = ZPolynomial({(0, 0, 1, 1): 1, (1, 0, 0, 0): -1})
 # z3^2 + z4^2 - 2 z2 - 2
 _QUARTIC = ZPolynomial({(0, 0, 2, 0): 1, (0, 0, 0, 2): 1, (0, 1, 0, 0): -2, (0, 0, 0, 0): -2})
@@ -105,20 +102,20 @@ class RationalGF:
     row: int  # second quantum number of the generated family
 
 
-_TABLE = {
-    "F0": (_NUM_F0, 0, 0),
-    "G0": (_NUM_G0, 0, 1),
-    "F1": (_NUM_F1, 1, 0),
-    "G1": (_NUM_G1, 1, 1),
-}
+_TABLE = {gf.label: gf for gf in (
+    RationalGF("F0", _NUM_F0, DENOMINATOR, 0, 0),
+    RationalGF("G0", _NUM_G0, DENOMINATOR, 0, 1),
+    RationalGF("F1", _NUM_F1, DENOMINATOR, 1, 0),
+    RationalGF("G1", _NUM_G1, DENOMINATOR, 1, 1),
+)}
+LABELS = tuple(_TABLE)
 
 
 def build(label: str) -> RationalGF:
     try:
-        num, kappa, row = _TABLE[label]
+        return _TABLE[label]
     except KeyError:
         raise KeyError(f"unknown generating function {label!r}") from None
-    return RationalGF(label, num, DENOMINATOR, kappa, row)
 
 
 def expand(label: str, order: int) -> TauSeries:

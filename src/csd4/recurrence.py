@@ -22,7 +22,7 @@ from .rootsystem import (
     TRIALITY_MAPS, WEYL_VECTOR_ROOT, apply_triality, weight_orbit, weight_to_root,
 )
 from .solver import CSPolynomial, solve
-from .zpoly import ZPolynomial, to_rows
+from .zpoly import Z1, ZPolynomial, to_rows, variable_slot
 from . import hamiltonian
 
 # Quantum-number displacements: the weights of the multiplied representation,
@@ -66,9 +66,9 @@ def expand_product(v: int, m) -> RecurrenceExpansion:
     one :func:`~csd4.kappa.kappa_all_zero` tests every row for zero.  A
     nonzero row names the leading remainder in the error.
     """
+    i = variable_slot(v)
     m = tuple(m)
     slots = {tuple(m[i] + s[i] for i in range(4)) for s in SHIFTS[v]}
-    i = v - 1
     rows = {}  # exponent -> the pairs of z_v P_m - sum c_j P_j there
     for e, c in solve(m).polynomial.terms.items():
         rows.setdefault((*e[:i], e[i] + 1, *e[i + 1:]), []).append((c, (1,)))
@@ -435,7 +435,7 @@ def ladder_next(m: int) -> CSPolynomial:
     c3 = _cf_a(m) * kappa_linear(m, 5) / kappa_linear(m, 1)
     poly = (
         comm * c1
-        - (ZPolynomial.variable(1) * p_m) * c2
+        - (Z1 * p_m) * c2
         + p_prev * c3
     )
     return _wrap((m + 1, 0, 0, 0), poly)
@@ -445,9 +445,8 @@ def ladder_mixed(m: int) -> CSPolynomial:
     """Recover the (m,1,0,0) polynomial from the three-term relation."""
     if m < 0:
         raise ValueError("m must be nonnegative")
-    z1 = ZPolynomial.variable(1)
     poly = (
-        z1 * solve((m + 1, 0, 0, 0)).polynomial
+        Z1 * solve((m + 1, 0, 0, 0)).polynomial
         - solve((m + 2, 0, 0, 0)).polynomial
         - solve((m, 0, 0, 0)).polynomial * _cf_a(m + 1)
     ) * _cf_c(m + 1).inverse()

@@ -29,7 +29,6 @@ INVERSE_CARTAN = (
 )
 
 WEYL_VECTOR: Weight = (1, 1, 1, 1)
-WEYL_VECTOR_ROOT: Root = (3, 5, 3, 3)
 
 
 def positive_roots() -> list:
@@ -80,6 +79,7 @@ _POSITIVE_ROOTS = tuple(
     r for r in map(weight_to_root, weight_orbit((0, 1, 0, 0)))
     if min(r) >= 0
 )
+WEYL_VECTOR_ROOT: Root = weight_to_root(WEYL_VECTOR)
 
 
 def inner(u: Weight, v: Weight) -> Fraction:

@@ -19,20 +19,13 @@ class TauSeries:
         self.order = order
         self.coeffs = coeffs
 
-    def _common_order(self, other) -> int:
-        return min(self.order, other.order)
-
     def __mul__(self, other):
         if isinstance(other, TauSeries):
-            n = self._common_order(other)
+            n = min(self.order, other.order)
             out = [ZPolynomial.zero() for _ in range(n + 1)]
             for i, a in enumerate(self.coeffs[: n + 1]):
-                if a.is_zero():
-                    continue
                 for j in range(n + 1 - i):
-                    b = other.coeffs[j]
-                    if not b.is_zero():
-                        out[i + j] = out[i + j] + a * b
+                    out[i + j] = out[i + j] + a * other.coeffs[j]
             return TauSeries(out, n)
         return TauSeries([c * other for c in self.coeffs], self.order)
 
@@ -40,20 +33,18 @@ class TauSeries:
 
     def __truediv__(self, other: "TauSeries") -> "TauSeries":
         """Series division; the divisor needs an invertible constant term."""
-        lead = other.coeffs[0]
-        if not lead.is_constant() or lead.is_zero():
+        lead = other.coeffs[0].terms
+        if lead.keys() != {(0, 0, 0, 0)}:
             raise ZeroDivisionError(
                 "series division needs a nonzero constant leading coefficient"
             )
-        inv0 = lead.coefficient((0, 0, 0, 0)).inverse()
-        n = self._common_order(other)
+        inv0 = lead[0, 0, 0, 0].inverse()
+        n = min(self.order, other.order)
         out = []
         for k in range(n + 1):
             acc = self.coeffs[k]
             for j in range(1, k + 1):
-                d = other.coeffs[j]
-                if not d.is_zero():
-                    acc = acc - d * out[k - j]
+                acc = acc - other.coeffs[j] * out[k - j]
             out.append(acc * inv0)
         return TauSeries(out, n)
 

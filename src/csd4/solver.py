@@ -11,13 +11,14 @@ off-diagonal image summed into the terms still to come.  A later
 coefficient is that sum over an eigenvalue difference, a nonzero
 polynomial in the coupling (so the symbolic solve never divides by zero).
 
-The pass is written once over a pluggable scalar: :func:`solve` runs it on
-rational functions of the coupling, where each coefficient is one
-:func:`csd4.kappa.kappa_sum` that divides as it sums, and the walk does
-no other rational-function arithmetic; :func:`solve_at` runs it on
-integers at one rational coupling p/q, where a pair (c0, c1) is lifted to
-the integer q*(c0 + c1*p/q) and each coefficient is one integer dot
-product made one Fraction, so the walk makes no Fraction arithmetic.  A
+The pass is written once over a pluggable scalar, with two plugs: ``lift``
+makes an integer pair (c0, c1), the eigenvalue difference's too, a scalar,
+and ``quotient`` sums a coefficient's pairs over its lifted difference.
+:func:`solve` runs it on rational functions of the coupling, each
+coefficient one :func:`csd4.kappa.kappa_sum` that divides as it sums;
+:func:`solve_at` runs it on integers at a coupling p/q, a pair lifted to
+q*(c0 + c1*p/q) and each coefficient one integer dot product made one
+Fraction.  Neither walk does other arithmetic on its scalar.  A
 coefficient's own work is done once per solve, not once per sum it feeds:
 its bound and packing (the memo of :func:`~csd4.kappa.kappa_sum`) and the
 expansion of its denominator (:func:`~csd4.kappa.share_den`, from a twin
@@ -122,9 +123,10 @@ class CSPolynomial:
 
 
 _CACHE: dict = {}
+_ONE = KappaRational(1)
 
 
-def _walk(m, one, lift, quotient) -> tuple:
+def _walk(m, lift, quotient) -> tuple:
     """The one pass over the cone of m, over a pluggable scalar.
 
     The cone is visited in its (height, mu) order.  A first pass maps each
@@ -132,21 +134,22 @@ def _walk(m, one, lift, quotient) -> tuple:
     permutations that fix m; that member is the orbit minimum, and with a
     trivial stabilizer every exponent is its own.  At an orbit minimum z^e,
     L z^e is read as integer pairs (c0, c1), meaning c0 + c1*k
-    (:func:`csd4.hamiltonian.monomial_image`).  Past height 0 (where the
-    coefficient is ``one``), ``quotient`` takes the pairs (c, a) collected
-    for z^e and the eigenvalue difference eps(m) - eps(e) as a pair, and
-    returns the sum of the c*a over that difference.  Every minimum reaches
-    ``quotient``, whether or not pairs were pushed to it.  A zero quotient is
-    a zero coefficient.  Then, for every distinct member g = sigma e of the
-    orbit, each off-diagonal term a*z^f of L z^e gives the term a*z^(sigma f)
-    of L z^g, and the pair (c, lift(a)) is appended to ``pending`` when
-    sigma f is an orbit minimum.  Any other member of an orbit takes the
-    minimum's coefficient object itself, at its own place in cone order,
-    with no evaluation of L.  Every term must land on an exponent visited
-    later: anything left in ``pending`` was reached out of order or outside
-    the cone, and raises :class:`InternalInconsistency`.  Returns the tables
-    mu -> c and exponent -> c of the nonzero coefficients, both in cone
-    order.
+    (:func:`csd4.hamiltonian.monomial_image`), and ``lift`` makes a pair a
+    scalar.  Past height 0 (where the coefficient is 1), ``quotient`` takes
+    the pairs (c, a) collected for z^e and the lifted eigenvalue difference
+    d of eps(m) - eps(e), and returns the sum of the c*a over d; a vanishing
+    d raises ZeroDivisionError, even with no pairs (0/0 is no value).  Every
+    minimum reaches ``quotient``, whether or not pairs were pushed to it.  A
+    zero quotient is a zero coefficient.  Then, for every distinct member
+    g = sigma e of the orbit, each off-diagonal term a*z^f of L z^e gives the
+    term a*z^(sigma f) of L z^g, and the pair (c, lift(a)) is appended to
+    ``pending`` when sigma f is an orbit minimum.  Any other member of an
+    orbit takes the minimum's coefficient object itself, at its own place in
+    cone order, with no evaluation of L.  Every term must land on an
+    exponent visited later: anything left in ``pending`` was reached out of
+    order or outside the cone, and raises :class:`InternalInconsistency`.
+    Returns the tables mu -> c and exponent -> c of the nonzero
+    coefficients, both in cone order.
     """
     cone = support_cone(m)
     eps0, eps1 = hamiltonian.monomial_image(m)[0]
@@ -172,14 +175,12 @@ def _walk(m, one, lift, quotient) -> tuple:
                 coeffs[el.mu] = terms[e] = c
             continue
         (d0, d1), image = hamiltonian.monomial_image(e)
-        c = one
+        c = _ONE
         if el.height:
-            denom = (eps0 - d0, eps1 - d1)
-            if denom == (0, 0):
-                raise InternalInconsistency(
-                    f"vanishing symbolic eigenvalue difference at mu={el.mu}"
-                )
-            c = quotient(pending.pop(e, ()), denom)
+            d = lift(eps0 - d0, eps1 - d1)
+            if not d:
+                raise ZeroDivisionError(f"eigenvalue difference vanishes at mu={el.mu}")
+            c = quotient(pending.pop(e, ()), d)
             if not c:
                 continue  # the coefficient vanishes
         coeffs[el.mu] = terms[e] = c
@@ -215,10 +216,10 @@ def solve(m) -> CSPolynomial:
     dens: dict = {}  # the distinct denominators met so far, for share_den
     packed: dict = {}  # each coefficient's bound and packing, for kappa_sum
 
-    def quotient(pairs, denom):
-        return share_den(kappa_sum(pairs, poly_linear(*denom), packed), dens)
+    def quotient(pairs, d):
+        return share_den(kappa_sum(pairs, d, packed), dens)
 
-    coeffs, terms = _walk(m, KappaRational(1), poly_linear, quotient)
+    coeffs, terms = _walk(m, poly_linear, quotient)
     # Every caller shares the cached result, so its tables are read-only.
     poly = ZPolynomial(MappingProxyType(terms), _raw=True)
     result = CSPolynomial(m, hamiltonian.eigenvalue(m), MappingProxyType(coeffs), poly)
@@ -231,46 +232,40 @@ def solve_at(m, kappa0) -> ZPolynomial:
     ``specialize(solve(m), kappa0)`` returns it: the same constant
     coefficients, in the same term order.
 
-    One :func:`_walk` on integers at ``kappa0 = p/q``: each pair (c0, c1)
-    is lifted to the integer ``c0*q + c1*p``, q times its value, and a
-    coefficient is the integer sum of its pairs' numerators times their
-    lifts, over the lcm of their denominators, made one Fraction with the
-    lifted eigenvalue difference, whose factor q cancels that of the lifts.
-    So each coefficient costs one gcd and no Fraction arithmetic, and like
-    :func:`solve` the orbit members of a coefficient share its object.
-    Where no eigenvalue difference on the cone vanishes at ``kappa0``, each
+    One :func:`_walk` on integers at ``kappa0 = p/q``: each pair (c0, c1),
+    the eigenvalue difference's too, is lifted to the integer ``c0*q + c1*p``,
+    q times its value, and a coefficient is the integer sum of its pairs'
+    numerators times their lifts, over the lcm of their denominators, made
+    one Fraction with the lifted difference, whose factor q cancels that of
+    the lifts.  So each coefficient costs one gcd and no Fraction arithmetic,
+    and like :func:`solve` the orbit members of a coefficient share its
+    object.  Where no difference on the cone vanishes at ``kappa0``, each
     step evaluates the symbolic step's rational function there, so the
     values agree; every denominator of the symbolic result is a product of
     those differences, so a pole at ``kappa0`` always shows up as one
-    vanishing.  If one does, the walk is abandoned for
-    ``specialize(solve(m), kappa0)``, which places any :class:`PoleAtKappa`
-    and its mu exactly.  A solve already cached is specialized directly.
+    vanishing.  Then, and when m is already solved, the result is the one
+    fallback ``specialize(solve(m), kappa0)``, which places any
+    :class:`PoleAtKappa` and its mu exactly.
     """
     m = check_dominant(m)
     kappa0 = Fraction(kappa0)
-    if m in _CACHE:
-        return specialize(_CACHE[m], kappa0)
-
     p, q = kappa0.numerator, kappa0.denominator
 
     def lift(c0, c1):
         return c0 * q + c1 * p  # q times c0 + c1*kappa0
 
-    def quotient(pairs, denom):
-        # checked even for a zero sum: 0/0 is no value
-        d = lift(*denom)
-        if not d:
-            raise PoleAtKappa(kappa0)
+    def quotient(pairs, d):
         # the factor q of every lift a cancels against the one of d
         den = lcm(*[c.den[0] for c, _ in pairs])
         n = sum(c.num[0] * (den // c.den[0]) * a for c, a in pairs)
         return KappaRational.from_fraction(Fraction(n, den * d))
 
-    try:
-        _, terms = _walk(m, KappaRational(1), lift, quotient)
-    except PoleAtKappa:
-        return specialize(solve(m), kappa0)
-    return ZPolynomial(terms, _raw=True)
+    if m not in _CACHE:
+        try:
+            return ZPolynomial(_walk(m, lift, quotient)[1], _raw=True)
+        except ZeroDivisionError:
+            pass  # a difference vanishes at kappa0
+    return specialize(solve(m), kappa0)
 
 
 def clear_cache() -> None:

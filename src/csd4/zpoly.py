@@ -1,8 +1,8 @@
 """Sparse polynomials in the four fundamental-character variables.
 
-A ``ZPolynomial`` maps exponent 4-tuples (powers of z1..z4) to nonzero
-:class:`~csd4.kappa.KappaRational` coefficients.  No monomial ordering is
-stored; consumers impose their own.
+A ``ZPolynomial`` maps exponent 4-tuples (powers of z1..z4, checked by
+:func:`~csd4.rootsystem.check_dominant`) to nonzero ``KappaRational``
+coefficients.  No monomial ordering is stored; consumers impose their own.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from functools import cache
 
 from .errors import PoleAtKappa
 from .kappa import KappaRational
+from .rootsystem import apply_triality, check_dominant
 
 Exponents = tuple  # tuple[int, int, int, int]
 
@@ -36,17 +37,33 @@ def to_rows(key: str, items) -> list:
 
 
 def from_rows(key: str, rows):
-    """Yield (vector, KappaRational) per row; ``num`` and ``den`` are required.
-    A vector not of four non-negative ints, or repeated, raises ValueError."""
+    """Yield (vector, KappaRational) per row.  A row maps ``key`` to a new
+    vector of four non-negative ints, and ``num`` and ``den`` to the strings
+    of a rational function; any other row raises ValueError naming the key
+    and the row."""
     seen = set()
     for row in rows:
-        vector = tuple(row[key]) if isinstance(row[key], (list, tuple)) else ()
-        if len(vector) != 4 or not all(type(n) is int and n >= 0 for n in vector):
-            raise ValueError(f"bad {key!r} in coefficient row {row}")
+        try:
+            vector = check_dominant(row[key])
+        except (LookupError, TypeError, ValueError):
+            raise ValueError(f"bad {key!r} in coefficient row {row}") from None
         if vector in seen:
             raise ValueError(f"repeated {key!r} in coefficient row {row}")
         seen.add(vector)
-        yield vector, KappaRational.parse(row["num"], row["den"])
+        try:
+            if not (isinstance(row["num"], str) and isinstance(row["den"], str)):
+                raise TypeError
+            coeff = KappaRational.parse(row["num"], row["den"])
+        except (KeyError, TypeError, ValueError, ZeroDivisionError):
+            raise ValueError(f"bad 'num' or 'den' in {key!r} coefficient row {row}") from None
+        yield vector, coeff
+
+
+def variable_slot(j: int) -> int:
+    """The 0-based slot of z_j; an index outside 1..4 raises ValueError."""
+    if type(j) is not int or not 1 <= j <= 4:
+        raise ValueError(f"variable index {j!r} is not one of 1..4")
+    return j - 1
 
 
 def _add_term(out: dict, exps, coeff) -> None:
@@ -73,7 +90,7 @@ class ZPolynomial:
             if c is NotImplemented:
                 raise TypeError(f"bad coefficient {coeff!r} for {exps}")
             if c:
-                clean[tuple(exps)] = c
+                clean[check_dominant(exps)] = c
         self.terms = clean
 
     # -- constructors ----------------------------------------------------
@@ -88,17 +105,14 @@ class ZPolynomial:
 
     @classmethod
     def monomial(cls, exps, coeff=1) -> "ZPolynomial":
-        exps = tuple(exps)
-        if len(exps) != 4 or any(e < 0 for e in exps):
-            raise ValueError(f"bad exponent tuple {exps}")
-        return cls({exps: coeff})
+        return cls({tuple(exps): coeff})
 
     @classmethod
     def variable(cls, j: int) -> "ZPolynomial":
         """The generator z_j, 1-based index."""
         exps = [0, 0, 0, 0]
-        exps[j - 1] = 1
-        return cls.monomial(tuple(exps))
+        exps[variable_slot(j)] = 1
+        return cls.monomial(exps)
 
     # -- ring operations --------------------------------------------------
 
@@ -169,15 +183,13 @@ class ZPolynomial:
 
     def derivative(self, j: int) -> "ZPolynomial":
         """Formal partial derivative with respect to z_j (1-based)."""
-        i = j - 1
+        i = variable_slot(j)
         out = {}
         for exps, coeff in self.terms.items():
             e = exps[i]
             if e == 0:
                 continue
-            shifted = list(exps)
-            shifted[i] = e - 1
-            out[tuple(shifted)] = coeff * e
+            out[(*exps[:i], e - 1, *exps[i + 1:])] = coeff * e
         return ZPolynomial(out, _raw=True)
 
     def substitute_kappa(self, kappa0) -> "ZPolynomial":
@@ -222,14 +234,11 @@ class ZPolynomial:
         return total
 
     def permute_variables(self, sigma) -> "ZPolynomial":
-        """Relabel variables by a permutation of {1,2,3,4} (z_i -> z_sigma(i))."""
-        out = {}
-        for exps, coeff in self.terms.items():
-            new = [0, 0, 0, 0]
-            for i in range(4):
-                new[sigma[i + 1] - 1] = exps[i]
-            out[tuple(new)] = coeff
-        return ZPolynomial(out, _raw=True)
+        """Relabel variables by a triality map (z_i -> z_sigma(i)), as
+        :func:`~csd4.rootsystem.apply_triality` moves each exponent."""
+        return ZPolynomial(
+            {apply_triality(e, sigma): c for e, c in self.terms.items()}, _raw=True
+        )
 
     # -- structure ----------------------------------------------------------
 
@@ -238,9 +247,6 @@ class ZPolynomial:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def is_constant(self) -> bool:
-        return not self.terms or set(self.terms) == {_E0}
 
     def __eq__(self, other):
         other = self._coerce(other)

@@ -58,8 +58,12 @@ def _fixture(m=(1, 0, 0, 0), mu=(0, 0, 0, 0)):
     return {"m": list(m), "epsilon": {"num": "0", "den": "1"}, "coeffs": [_row("mu", list(mu))]}
 
 
+def _rows(*rows):
+    return {"m": [1, 0, 0, 0], "terms": list(rows)}
+
+
 def _terms(*vectors):
-    return {"m": [1, 0, 0, 0], "terms": [_row("exponents", v) for v in vectors]}
+    return _rows(*(_row("exponents", v) for v in vectors))
 
 
 @pytest.mark.parametrize("name, entry, message", [
@@ -73,10 +77,23 @@ def _terms(*vectors):
     pytest.param("polynomials", _fixture(mu=(0, 0, 0)), "bad 'mu'", id="short-mu"),
     pytest.param("polynomials", {**_fixture(), "coeffs": [_row("mu", [0, 0, 0, 0])] * 2},
                  "repeated 'mu'", id="repeated-mu"),
+    pytest.param("characters", _rows({"num": "1", "den": "1"}), "bad 'exponents'",
+                 id="missing-exponents"),
+    pytest.param("characters", _rows({"exponents": [1, 0, 0, 0], "den": "1"}),
+                 "bad 'num' or 'den'", id="missing-num"),
+    pytest.param("monomials", _rows({**_row("exponents", [1, 0, 0, 0]), "num": 1}),
+                 "bad 'num' or 'den'", id="int-num"),
+    pytest.param("polynomials",
+                 {**_fixture(), "coeffs": [{**_row("mu", [0, 0, 0, 0]), "den": "0"}]},
+                 "bad 'num' or 'den'", id="zero-den"),
+    pytest.param("polynomials", {**_fixture(), "coeffs": [[0, 0, 0, 0, "1", "1"]]},
+                 "bad 'mu'", id="list-row"),
 ])
 def test_malformed_fixture_rows_are_rejected_at_load(tmp_path, monkeypatch, name, entry, message):
-    # A bad row fails where it is read, naming its key and the row, not at
-    # the first product (IndexError) or by overwriting an earlier row.
+    # A bad row fails where it is read, with ValueError naming its key and
+    # the row: not at the first product (IndexError), by overwriting an
+    # earlier row, or as the KeyError, AttributeError, ZeroDivisionError or
+    # TypeError that reading its fields would raise.
     with open(tmp_path / f"{name}.json", "w", encoding="utf-8") as fh:
         json.dump([entry], fh)
     monkeypatch.setenv(fixtures.ENV_VAR, str(tmp_path))

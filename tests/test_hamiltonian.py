@@ -207,3 +207,5 @@ def test_commutator_cases():
     expect = Z1**2 * kappa_linear(6, 12) - Z2 * 8 - ZPolynomial.constant(32)
     assert got == expect
     assert ham.commutator(3, one) == Z3 * kappa_linear(2, 12)
+    with pytest.raises(ValueError, match="variable index 0"):  # not z4
+        ham.commutator(0, Z1)

@@ -64,6 +64,12 @@ def test_trivial_expansions():
     assert e.coefficient((0, 0, 0, 0)) == kr((4, -4), (1, 5))
 
 
+def test_expand_product_names_a_bad_variable():
+    for v in (0, 5):
+        with pytest.raises(ValueError, match=f"variable index {v} "):
+            rec.expand_product(v, (1, 0, 0, 0))
+
+
 def test_reconstruction_identity():
     for v, m in [(1, (1, 1, 0, 0)), (2, (1, 0, 1, 0)), (3, (0, 1, 0, 1)),
                  (4, (2, 0, 0, 0)), (2, (1, 1, 1, 1))]:

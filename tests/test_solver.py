@@ -409,24 +409,66 @@ def _rising(x: KappaRational, n: int) -> KappaRational:
     return out
 
 
+def _pairing(m, a) -> int:
+    """<m, a> for a dominant weight m and a positive root a."""
+    n = rs.inner(m, rs.root_to_weight(a))
+    assert n.denominator == 1
+    return int(n)
+
+
+def _evaluation(m) -> KappaRational:
+    """E(m) = prod_{a > 0} ((ht a + 1) k)_<m,a> / ((ht a) k)_<m,a>, (x)_n the
+    rising factorial: Macdonald's evaluation formula, proved by Opdam
+    (Invent. Math. 98, 1989)."""
+    k = kappa.kappa_linear(0, 1)
+    out = KappaRational(1)
+    for a in rs.positive_roots():
+        n, h = _pairing(m, a), rs.height(a)
+        out = out * _rising((h + 1) * k, n) / _rising(h * k, n)
+    return out
+
+
 def test_evaluation_at_the_identity():
     # At the identity of the torus the characters are the dimensions, and
-    # P_m(8, 28, 8, 8) = prod_{a > 0} ((ht a + 1) k)_<m,a> / ((ht a) k)_<m,a>,
-    # (x)_n the rising factorial: Macdonald's evaluation formula, proved by
-    # Opdam (Invent. Math. 98, 1989).
-    k = kappa.kappa_linear(0, 1)
+    # there P_m(8, 28, 8, 8) = E(m).
     weights = _dominant(4)
     assert len(weights) == 70
     for m in weights:
-        want = KappaRational(1)
-        for a in rs.positive_roots():
-            n, h = rs.inner(m, rs.root_to_weight(a)), rs.height(a)
-            assert n.denominator == 1
-            want = want * _rising((h + 1) * k, int(n)) / _rising(h * k, int(n))
         terms = solver.solve(m).polynomial.terms.items()
         got = kappa.kappa_sum([(c, (8 ** e1 * 28 ** e2 * 8 ** e3 * 8 ** e4,))
                                for (e1, e2, e3, e4), c in terms])
-        assert got == want, m
+        assert got == _evaluation(m), m
+
+
+def test_evaluation_through_solve_at(monkeypatch):
+    # The same formula through the walk on integers, at a coupling where
+    # (6,6,6,6) has no pole, with no symbolic solve to fall back on.
+    solver.clear_cache()
+    monkeypatch.setattr(solver, "solve", None)
+    m, k0 = (6, 6, 6, 6), Fraction(7, 10)
+    got = solver.solve_at(m, k0).eval_exact((8, 28, 8, 8))
+    assert got == _evaluation(m).substitute(k0)
+
+
+def test_solve_at_at_every_candidate_pole():
+    # Item I's candidates k0 = (j - <m,a>)/ht a, a > 0, 1 <= j < <m,a>: where
+    # a pole of P_m can sit, and where the walk's differences vanish.  Cold,
+    # solve_at agrees with specializing the symbolic solve: the same terms in
+    # the same order, or the same pole at the same mu.
+    couplings = poles = 0
+    for m in _dominant(3):
+        candidates = {Fraction(j - n, rs.height(a))
+                      for a in rs.positive_roots() for n in [_pairing(m, a)]
+                      for j in range(1, n)}
+        solver.clear_cache()
+        p = solver.solve(m)
+        for k0 in sorted(candidates):
+            want = outcome(lambda: solver.specialize(p, k0))
+            solver.clear_cache()
+            assert outcome(lambda: solver.solve_at(m, k0)) == want, (m, k0)
+            couplings += 1
+            poles += want[0] == "pole"
+    assert (couplings, poles) == (200, 77)
 
 
 def test_half_integer_duality(monkeypatch):

@@ -66,6 +66,8 @@ def test_permute_variables():
     assert Z1.permute_variables(sigma) == Z3
     p = Z1**2 * Z4 + Z3
     assert p.permute_variables(sigma) == Z3**2 * Z4 + Z1
+    with pytest.raises(ValueError, match="fix index 2"):  # triality maps only
+        p.permute_variables({1: 2, 2: 1, 3: 3, 4: 4})
 
 
 def test_monomial_validation():
@@ -73,6 +75,21 @@ def test_monomial_validation():
         ZPolynomial.monomial((1, 2, 3))
     with pytest.raises(ValueError):
         ZPolynomial.monomial((1, -1, 0, 0))
+    # four ints, as every weight and exponent: no float, no bool
+    for bad in ((1.5, 0, 0, 0), (True, 0, 0, 0)):
+        with pytest.raises(ValueError):
+            ZPolynomial.monomial(bad)
+        with pytest.raises(ValueError):
+            ZPolynomial({bad: 1})
+
+
+@pytest.mark.parametrize("j", [0, -1, 5, True, 1.0])
+def test_variable_index_outside_1_to_4_is_refused(j):
+    # Python's negative and zero indices would otherwise alias z4 and z3.
+    with pytest.raises(ValueError, match="variable index"):
+        ZPolynomial.variable(j)
+    with pytest.raises(ValueError, match="variable index"):
+        (Z1 * Z2 * Z3 * Z4).derivative(j)
 
 
 @pytest.mark.parametrize("bad", ["x", 2.5, None])
@@ -95,7 +112,7 @@ def test_json_roundtrip():
     assert obj == sorted(obj, key=lambda t: t["exponents"])
     assert ZPolynomial.from_json_obj(obj) == p
     # every row carries its den, even when it is 1
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="bad 'num' or 'den'"):
         ZPolynomial.from_json_obj([{"exponents": [1, 0, 0, 0], "num": "2"}])
 
 
