@@ -21,18 +21,18 @@ from .zpoly import ZPolynomial
 
 
 def golden(opts) -> list:
-    checks = []
-    corpus = fixtures.load_golden()
-    for entry in corpus["polynomials"]:
-        want = solver.CSPolynomial.from_fixture_obj(entry)
-        checks.append(Check(f"polynomial {list(want.m)}", solver.solve(want.m) == want))
-    for key, kappa0 in (("characters", 1), ("monomials", 0)):
-        for entry in corpus[key]:
-            m = tuple(entry["m"])
-            want = ZPolynomial.from_json_obj(entry["terms"])
-            got = solver.solve_at(m, kappa0)
-            checks.append(Check(f"{key[:-1]} {list(m)}", got == want))
-    return checks
+    try:
+        corpus = fixtures.load_golden()
+        polynomials = [solver.CSPolynomial.from_fixture_obj(e) for e in corpus["polynomials"]]
+        specialized = [(key, kappa0, rootsystem.check_dominant(e["m"]),
+                        ZPolynomial.from_json_obj(e["terms"]))
+                       for key, kappa0 in (("characters", 1), ("monomials", 0))
+                       for e in corpus[key]]
+    except (OSError, ValueError) as exc:
+        return [Check("golden corpus", False, {"error": f"{type(exc).__name__}: {exc}"})]
+    checks = [Check(f"polynomial {list(w.m)}", solver.solve(w.m) == w) for w in polynomials]
+    return checks + [Check(f"{key[:-1]} {list(m)}", solver.solve_at(m, kappa0) == want)
+                     for key, kappa0, m, want in specialized]
 
 
 def eigen(opts) -> list:

@@ -53,7 +53,7 @@ from .rootsystem import (
     root_to_weight,
     weight_to_root,
 )
-from .zpoly import ZPolynomial, from_rows, to_rows
+from .zpoly import ZPolynomial, from_rows, row_coefficient, to_rows
 
 
 class ConeElement(NamedTuple):
@@ -110,16 +110,18 @@ class CSPolynomial:
     @classmethod
     def from_fixture_obj(cls, obj) -> "CSPolynomial":
         m = check_dominant(obj["m"])
-        eps = KappaRational.parse(obj["epsilon"]["num"], obj["epsilon"]["den"])
-        coefficients = {}
-        terms = {}
-        for mu, c in from_rows("mu", obj["coeffs"]):
-            if not c:
-                continue
-            coefficients[mu] = c
-            w = root_to_weight(mu)
-            terms[tuple(m[i] - w[i] for i in range(4))] = c
+        eps = row_coefficient("epsilon", obj.get("epsilon"))
+        coefficients = dict(from_rows("mu", obj["coeffs"]))
+        terms = {_exponent(m, mu): c for mu, c in coefficients.items()}
         return cls(m, eps, coefficients, ZPolynomial(terms, _raw=True))
+
+
+def _exponent(m, mu) -> tuple:
+    """m - weight(mu); a mu outside the cone of m raises ValueError."""
+    e = tuple(a - b for a, b in zip(m, root_to_weight(mu)))
+    if min(e) < 0:
+        raise ValueError(f"'mu' {list(mu)} is outside the cone of m={list(m)}")
+    return e
 
 
 _CACHE: dict = {}

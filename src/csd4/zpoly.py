@@ -36,10 +36,21 @@ def to_rows(key: str, items) -> list:
     return rows
 
 
+def row_coefficient(key: str, row) -> KappaRational:
+    """A row's ``num`` and ``den`` strings as a KappaRational; anything else,
+    ``"den": "0"`` included, raises ValueError naming the key and the row."""
+    try:
+        if not (isinstance(row["num"], str) and isinstance(row["den"], str)):
+            raise TypeError
+        return KappaRational.parse(row["num"], row["den"])
+    except (KeyError, TypeError, ValueError, ZeroDivisionError):
+        raise ValueError(f"bad 'num' or 'den' in {key!r} coefficient row {row}") from None
+
+
 def from_rows(key: str, rows):
-    """Yield (vector, KappaRational) per row.  A row maps ``key`` to a new
-    vector of four non-negative ints, and ``num`` and ``den`` to the strings
-    of a rational function; any other row raises ValueError naming the key
+    """Yield (vector, KappaRational) per row with a nonzero coefficient.  A
+    row maps ``key`` to a new vector of four non-negative ints and holds a
+    :func:`row_coefficient`; any other row raises ValueError naming the key
     and the row."""
     seen = set()
     for row in rows:
@@ -50,13 +61,8 @@ def from_rows(key: str, rows):
         if vector in seen:
             raise ValueError(f"repeated {key!r} in coefficient row {row}")
         seen.add(vector)
-        try:
-            if not (isinstance(row["num"], str) and isinstance(row["den"], str)):
-                raise TypeError
-            coeff = KappaRational.parse(row["num"], row["den"])
-        except (KeyError, TypeError, ValueError, ZeroDivisionError):
-            raise ValueError(f"bad 'num' or 'den' in {key!r} coefficient row {row}") from None
-        yield vector, coeff
+        if coeff := row_coefficient(key, row):
+            yield vector, coeff
 
 
 def variable_slot(j: int) -> int:
@@ -290,7 +296,7 @@ class ZPolynomial:
 
     @classmethod
     def from_json_obj(cls, obj) -> "ZPolynomial":
-        return cls({e: c for e, c in from_rows("exponents", obj) if c}, _raw=True)
+        return cls(dict(from_rows("exponents", obj)), _raw=True)
 
 
 Z1 = ZPolynomial.variable(1)

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import csd4
-from csd4 import genfun
+from csd4 import fixtures, genfun
 from csd4.cli import main
 
 
@@ -180,6 +180,44 @@ def test_verify_all_record_set(capsys):
     assert got == [record for records in want.values() for record in records]
     assert [name for name, ok, _ in got if not ok] == ["special identity n=1"]
     assert code == 1
+
+
+def _zero_den(entry):
+    entry["terms"][0]["den"] = "0"
+
+
+def _float_m(entry):
+    entry["m"] = [1.5, 0, 0, 0]
+
+
+@pytest.mark.parametrize("spoil, error", [
+    pytest.param(_zero_den, "ValueError: bad 'num' or 'den' in 'exponents' coefficient row",
+                 id="zero-den"),
+    pytest.param(_float_m, "ValueError: bad weight (1.5, 0, 0, 0)", id="float-m"),
+    pytest.param(None, "FileNotFoundError: ", id="missing"),
+])
+def test_verify_reports_an_unreadable_corpus(spoil, error, tmp_path, monkeypatch, capsys):
+    # A corpus that cannot be read is one failed golden record naming the
+    # error, read before anything is solved; the other six suites still run.
+    # The spoiled entry is the last one read; with none, the directory is
+    # missing.
+    if spoil:
+        corpus = fixtures.load_golden()
+        spoil(corpus["monomials"][-1])
+        for name, entries in corpus.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(entries), encoding="utf-8")
+        monkeypatch.setenv(fixtures.ENV_VAR, str(tmp_path))
+    else:
+        monkeypatch.setenv(fixtures.ENV_VAR, str(tmp_path / "missing"))
+    with open(Path(__file__).with_name("verify_all_records.json")) as fh:
+        want = json.load(fh)
+    code, out = run(capsys, "verify", "--suite", "all")
+    assert code == 1
+    first, *rest = json.loads(out)["checks"]
+    assert first["name"] == "golden corpus" and not first["ok"]
+    assert first["error"].startswith(error)
+    assert [[c["name"], c["ok"], sorted(c)] for c in rest] == [
+        record for suite, records in want.items() if suite != "golden" for record in records]
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,6 +1,7 @@
 """The bundled reference corpus must be reproduced with exact equality."""
 
 import json
+import re
 
 import pytest
 
@@ -58,6 +59,17 @@ def _fixture(m=(1, 0, 0, 0), mu=(0, 0, 0, 0)):
     return {"m": list(m), "epsilon": {"num": "0", "den": "1"}, "coeffs": [_row("mu", list(mu))]}
 
 
+def _epsilon(row):
+    # a fixture with the given epsilon row, or none when row is None
+    fixture = _fixture()
+    del fixture["epsilon"]
+    return fixture if row is None else {**fixture, "epsilon": row}
+
+
+def _bad_epsilon(row):
+    return re.escape(f"bad 'num' or 'den' in 'epsilon' coefficient row {row}")
+
+
 def _rows(*rows):
     return {"m": [1, 0, 0, 0], "terms": list(rows)}
 
@@ -88,12 +100,24 @@ def _terms(*vectors):
                  "bad 'num' or 'den'", id="zero-den"),
     pytest.param("polynomials", {**_fixture(), "coeffs": [[0, 0, 0, 0, "1", "1"]]},
                  "bad 'mu'", id="list-row"),
+    pytest.param("polynomials", _fixture(mu=(1, 0, 0, 0)),
+                 re.escape("'mu' [1, 0, 0, 0] is outside the cone of m=[1, 0, 0, 0]"),
+                 id="mu-outside-cone"),
+    pytest.param("polynomials", _epsilon({"num": "0", "den": "0"}),
+                 _bad_epsilon({"num": "0", "den": "0"}), id="epsilon-zero-den"),
+    pytest.param("polynomials", _epsilon({"num": 0, "den": "1"}),
+                 _bad_epsilon({"num": 0, "den": "1"}), id="epsilon-int-num"),
+    pytest.param("polynomials", _epsilon({"num": "0"}), _bad_epsilon({"num": "0"}),
+                 id="epsilon-missing-den"),
+    pytest.param("polynomials", _epsilon(None), _bad_epsilon(None), id="missing-epsilon"),
 ])
 def test_malformed_fixture_rows_are_rejected_at_load(tmp_path, monkeypatch, name, entry, message):
     # A bad row fails where it is read, with ValueError naming its key and
     # the row: not at the first product (IndexError), by overwriting an
     # earlier row, or as the KeyError, AttributeError, ZeroDivisionError or
-    # TypeError that reading its fields would raise.
+    # TypeError that reading its fields would raise.  An eigenpolynomial's
+    # epsilon is read by the same row rule, and a mu outside the cone of m
+    # is refused, not stored as a term with a negative exponent.
     with open(tmp_path / f"{name}.json", "w", encoding="utf-8") as fh:
         json.dump([entry], fh)
     monkeypatch.setenv(fixtures.ENV_VAR, str(tmp_path))

@@ -2,6 +2,7 @@
 bundled data.  The suite imports csd4 from src/ and never installs it, so
 these are read from pyproject.toml and checked against the source tree."""
 
+import ast
 import importlib
 from pathlib import Path
 
@@ -42,3 +43,15 @@ def test_package_data_is_exactly_the_corpus_load_golden_opens(monkeypatch):
     globs = _project()["tool"]["setuptools"]["package-data"]["csd4"]
     shipped = {p.resolve() for pattern in globs for p in package.glob(pattern)}
     assert shipped == set(opened)
+
+
+def test_sources_parse_at_the_declared_minimum_python():
+    # Only one interpreter runs the suite; the parser's feature_version
+    # still refuses syntax newer than the minimum that pyproject.toml states.
+    floor = _project()["project"]["requires-python"]
+    assert floor.startswith(">=")
+    version = tuple(int(part) for part in floor[2:].split("."))
+    paths = [p for d in ("src/csd4", "tests", "perfbench") for p in sorted((ROOT / d).glob("*.py"))]
+    assert len(paths) > 30
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=version)

@@ -440,6 +440,34 @@ def test_evaluation_at_the_identity():
         assert got == _evaluation(m), m
 
 
+def _at_infinity(c: KappaRational) -> Fraction:
+    """lim c(k) as k -> oo, asserting that it is finite: the numerator's
+    degree is at most the denominator's."""
+    num, den = c.num, c.den
+    assert len(num) <= len(den), c
+    return Fraction(num[-1], den[-1]) if len(num) == len(den) else Fraction(0)
+
+
+def test_limit_at_infinite_coupling():
+    # L = L0 + k*L1, and L1 = 12(z1 d1 + z3 d3 + z4 d4) + (20 z2 + 16) d2 is a
+    # derivation with eigenvalue gaps 4*ht(mu) > 0.  So every coefficient of
+    # P_m stays bounded as k -> oo, and P_m tends to the one monic triangular
+    # eigenfunction of L1, prod (z_i + c_i)^m_i.  At the identity z_i is
+    # dim w_i, so c_i = E_oo(w_i) - dim w_i.
+    omegas = [tuple(int(i == j) for j in range(4)) for i in range(4)]
+    c = [_at_infinity(_evaluation(w)) - rs.weyl_dimension(w) for w in omegas]
+    powers = [[(z + ci) ** n for n in range(7)] for z, ci in zip((Z1, Z2, Z3, Z4), c)]
+    weights = _dominant(6)
+    assert len(weights) == 210
+    for m in weights:
+        terms = solver.solve(m).polynomial.terms.items()
+        got = ZPolynomial({e: _at_infinity(coeff) for e, coeff in terms})
+        want = ZPolynomial.constant(1)
+        for factor, n in zip(powers, m):
+            want = want * factor[n]
+        assert got == want, m
+
+
 def test_evaluation_through_solve_at(monkeypatch):
     # The same formula through the walk on integers, at a coupling where
     # (6,6,6,6) has no pole, with no symbolic solve to fall back on.
