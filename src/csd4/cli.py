@@ -73,10 +73,6 @@ def _bounded(convert, low=None, strict=False):
     return parse
 
 
-# A smaller step cannot move a torus angle of order 1.
-_STEP = _bounded(float, sys.float_info.epsilon, strict=True)
-
-
 def _emit(obj, text=None) -> int:
     """Print ``obj`` as JSON, or in its place the strings of the iterable
     ``text`` and a newline (``--format text``).
@@ -159,7 +155,7 @@ def cmd_qcheck(args) -> int:
 
 def cmd_verify(args) -> int:
     names = checks.SUITES if args.suite == "all" else (args.suite,)
-    report = Report([c for name in names for c in checks.SUITES[name](args)])
+    report = Report([c for name in names for c in checks.SUITES[name]()])
     return _emit({
         "suite": args.suite,
         "checks": [c.to_json_obj() for c in report.records],
@@ -222,8 +218,9 @@ def build_parser() -> argparse.ArgumentParser:
     p._negative_number_matcher = _NEGATIVE_NUMBER
     p.add_argument("--samples", type=_bounded(int, 1), default=5,
                    help="number of generic torus points (default 5)")
-    p.add_argument("--step", type=_STEP, default=1e-4,
-                   help="finite-difference step (default 1e-4)")
+    # A step at most eps cannot move a torus angle of order 1.
+    p.add_argument("--step", type=_bounded(float, sys.float_info.epsilon, strict=True),
+                   default=1e-4, help="finite-difference step (default 1e-4)")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for the point sampler (default 0)")
     p.add_argument("--tolerance", type=_bounded(float, 0, strict=True), default=1e-6,
@@ -233,16 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", choices=(*checks.SUITES, "all"), default="all",
                    help="which suite to run (default all)")
-    p.add_argument("--max-m", type=_bounded(int, 1), default=3, dest="max_m",
-                   help="largest row index for the recurrence families")
-    p.add_argument("--order", type=_bounded(int, 0), default=6,
-                   help="series truncation order for the genfun suite")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for sampled points and random weights")
-    p.add_argument("--step", type=_STEP, default=1e-4,
-                   help="finite-difference step for the qcheck suite")
-    p.add_argument("--tolerance", type=_bounded(float, 0, strict=True), default=1e-6,
-                   help="residual threshold for the qcheck suite")
     p.set_defaults(func=cmd_verify)
 
     return ap

@@ -215,11 +215,11 @@ class KappaRational:
 
     @staticmethod
     def _coerce_poly(p) -> IntPoly:
-        if isinstance(p, (tuple, list)):
-            return poly_trim(p)
-        if isinstance(p, int):
-            return (p,) if p else _ZERO
-        raise TypeError(f"cannot build a coupling polynomial from {p!r}")
+        coeffs = p if isinstance(p, (tuple, list)) else (p,)
+        for c in coeffs:
+            if type(c) is not int:  # type, not isinstance: a bool is refused too
+                raise TypeError(f"coupling polynomial entry {c!r} of {p!r} is not an int")
+        return poly_trim(coeffs)
 
     @classmethod
     def from_fraction(cls, q: Fraction) -> "KappaRational":

@@ -53,7 +53,7 @@ from .rootsystem import (
     root_to_weight,
     weight_to_root,
 )
-from .zpoly import ZPolynomial, from_rows, row_coefficient, to_rows
+from .zpoly import ZPolynomial, field, from_rows, row_coefficient, to_rows
 
 
 class ConeElement(NamedTuple):
@@ -109,9 +109,9 @@ class CSPolynomial:
 
     @classmethod
     def from_fixture_obj(cls, obj) -> "CSPolynomial":
-        m = check_dominant(obj["m"])
+        m = check_dominant(field(obj, "m"))
         eps = row_coefficient("epsilon", obj.get("epsilon"))
-        coefficients = dict(from_rows("mu", obj["coeffs"]))
+        coefficients = dict(from_rows("mu", field(obj, "coeffs")))
         terms = {_exponent(m, mu): c for mu, c in coefficients.items()}
         return cls(m, eps, coefficients, ZPolynomial(terms, _raw=True))
 

@@ -36,6 +36,14 @@ def to_rows(key: str, items) -> list:
     return rows
 
 
+def field(entry, key: str):
+    """``entry[key]`` of a fixture entry; an entry that is not an object or
+    lacks the key raises ValueError naming the key."""
+    if not isinstance(entry, dict) or key not in entry:
+        raise ValueError(f"fixture entry without {key!r}")
+    return entry[key]
+
+
 def row_coefficient(key: str, row) -> KappaRational:
     """A row's ``num`` and ``den`` strings as a KappaRational; anything else,
     ``"den": "0"`` included, raises ValueError naming the key and the row."""
@@ -50,8 +58,10 @@ def row_coefficient(key: str, row) -> KappaRational:
 def from_rows(key: str, rows):
     """Yield (vector, KappaRational) per row with a nonzero coefficient.  A
     row maps ``key`` to a new vector of four non-negative ints and holds a
-    :func:`row_coefficient`; any other row raises ValueError naming the key
-    and the row."""
+    :func:`row_coefficient`; any other row, or ``rows`` not a list, raises
+    ValueError naming the key."""
+    if not isinstance(rows, list):
+        raise ValueError(f"{key!r} rows are a {type(rows).__name__}, not a list")
     seen = set()
     for row in rows:
         try:

@@ -142,14 +142,14 @@ def test_verify_ladder(capsys):
 
 
 def test_verify_recur(capsys):
-    code, out = run(capsys, "verify", "--suite", "recur", "--max-m", "1")
+    code, out = run(capsys, "verify", "--suite", "recur")
     assert code == 0
     obj = json.loads(out)
     assert obj["ok"] and obj["total"] > 40
 
 
 def test_verify_eigen(capsys):
-    code, out = run(capsys, "verify", "--suite", "eigen", "--seed", "3")
+    code, out = run(capsys, "verify", "--suite", "eigen")
     assert code == 0
     obj = json.loads(out)
     assert obj["ok"] and obj["total"] == 45
@@ -158,7 +158,7 @@ def test_verify_eigen(capsys):
 def test_verify_special_reports_discrepancy(capsys):
     # The odd-n factorized identity cannot hold (symmetric vs antisymmetric);
     # the suite reports it as a failure rather than patching it.
-    code, out = run(capsys, "verify", "--suite", "special", "--seed", "0")
+    code, out = run(capsys, "verify", "--suite", "special")
     obj = json.loads(out)
     by_name = {c["name"]: c for c in obj["checks"]}
     assert not by_name["special identity n=1"]["ok"]
@@ -182,28 +182,51 @@ def test_verify_all_record_set(capsys):
     assert code == 1
 
 
-def _zero_den(entry):
-    entry["terms"][0]["den"] = "0"
+def _zero_den(corpus):
+    corpus["monomials"][-1]["terms"][0]["den"] = "0"
 
 
-def _float_m(entry):
-    entry["m"] = [1.5, 0, 0, 0]
+def _float_m(corpus):
+    corpus["monomials"][-1]["m"] = [1.5, 0, 0, 0]
+
+
+def _no_terms(corpus):
+    del corpus["characters"][0]["terms"]
+
+
+def _no_coeffs(corpus):
+    del corpus["polynomials"][-1]["coeffs"]
+
+
+def _null_terms(corpus):
+    corpus["characters"][0]["terms"] = None
+
+
+def _not_a_list(corpus):
+    corpus["monomials"] = {}
 
 
 @pytest.mark.parametrize("spoil, error", [
     pytest.param(_zero_den, "ValueError: bad 'num' or 'den' in 'exponents' coefficient row",
                  id="zero-den"),
     pytest.param(_float_m, "ValueError: bad weight (1.5, 0, 0, 0)", id="float-m"),
+    pytest.param(_no_terms, "ValueError: fixture entry without 'terms'", id="no-terms"),
+    pytest.param(_no_coeffs, "ValueError: fixture entry without 'coeffs'", id="no-coeffs"),
+    pytest.param(_null_terms, "ValueError: 'exponents' rows are a NoneType, not a list",
+                 id="null-terms"),
+    pytest.param(_not_a_list, "ValueError: monomials.json does not hold a list",
+                 id="top-level-object"),
     pytest.param(None, "FileNotFoundError: ", id="missing"),
 ])
 def test_verify_reports_an_unreadable_corpus(spoil, error, tmp_path, monkeypatch, capsys):
     # A corpus that cannot be read is one failed golden record naming the
     # error, read before anything is solved; the other six suites still run.
-    # The spoiled entry is the last one read; with none, the directory is
-    # missing.
+    # A missing key or a file that is not a list is such an error too, not
+    # a KeyError or TypeError that stops the run.  With no spoil, the
+    # directory is missing.
     if spoil:
         corpus = fixtures.load_golden()
-        spoil(corpus["monomials"][-1])
+        spoil(corpus)
         for name, entries in corpus.items():
             (tmp_path / f"{name}.json").write_text(json.dumps(entries), encoding="utf-8")
         monkeypatch.setenv(fixtures.ENV_VAR, str(tmp_path))
@@ -255,6 +278,13 @@ def test_verify_reports_an_unreadable_corpus(spoil, error, tmp_path, monkeypatch
     ["qcheck", "--m", "1,0,0,0", "--step", "1e-15", "--samples", "1"],
     ["verify", "--suite", "qcheck", "--step", "1e-15"],
     ["qcheck", "--m", "1,0,0,0", "--step", "1e-6", "--tolerance", "1e-6"],
+    # verify runs one fixed configuration: a tuning option, even at the
+    # value the suite uses, is unknown
+    ["verify", "--suite", "recur", "--max-m", "3"],
+    ["verify", "--suite", "genfun", "--order", "6"],
+    ["verify", "--suite", "eigen", "--seed", "0"],
+    ["verify", "--suite", "qcheck", "--step", "1e-4"],
+    ["verify", "--suite", "qcheck", "--tolerance", "1e-6"],
 ], ids=[
     "compute-short-m", "compute-non-integer-m", "genfun-order", "genfun-pde-label",
     "verify-max-m", "verify-order",
@@ -266,6 +296,8 @@ def test_verify_reports_an_unreadable_corpus(spoil, error, tmp_path, monkeypatch
     "qcheck-residual-overflow",
     "qcheck-step-underflow", "verify-step-underflow", "qcheck-step-below-epsilon",
     "qcheck-step-rounding", "verify-step-rounding", "qcheck-step-for-tolerance",
+    "verify-no-max-m", "verify-no-order", "verify-no-seed", "verify-no-step",
+    "verify-no-tolerance",
 ])
 def test_usage_error_exit_code(argv, capsys):
     with pytest.raises(SystemExit) as err:

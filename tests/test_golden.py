@@ -95,6 +95,8 @@ def _terms(*vectors):
                  "bad 'num' or 'den'", id="missing-num"),
     pytest.param("monomials", _rows({**_row("exponents", [1, 0, 0, 0]), "num": 1}),
                  "bad 'num' or 'den'", id="int-num"),
+    pytest.param("characters", {"m": [1, 0, 0, 0], "terms": {}},
+                 "'exponents' rows are a dict, not a list", id="rows-not-a-list"),
     pytest.param("polynomials",
                  {**_fixture(), "coeffs": [{**_row("mu", [0, 0, 0, 0]), "den": "0"}]},
                  "bad 'num' or 'den'", id="zero-den"),

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 from fractions import Fraction
 from unittest import mock
 
@@ -83,6 +84,20 @@ def test_substitute_pole():
 def test_zero_denominator_rejected():
     with pytest.raises(ZeroDivisionError):
         KappaRational((1,), ())
+
+
+@pytest.mark.parametrize("num, den, entry", [
+    ((1.5, 2), 1, "1.5"),
+    (1, 2.0, "2.0"),
+    (True, 1, "True"),
+    ((1, 0), (1, False), "False"),
+    (Fraction(1, 2), 1, "Fraction(1, 2)"),
+], ids=["float-num", "float-den", "bool", "bool-in-den", "fraction"])
+def test_non_int_entries_rejected(num, den, entry):
+    # A float would pass as a canonical coefficient and a float den would
+    # reach math.gcd; a bool is refused, as check_dominant refuses it.
+    with pytest.raises(TypeError, match=re.escape(f"entry {entry} of")):
+        KappaRational(num, den)
 
 
 def test_string_roundtrip():
