@@ -13,9 +13,13 @@ of the derivatives computed once per exponent; the s = 0 group is the
 eigenvalue.
 :func:`monomial_image` is that second algorithm on integers, each
 coefficient an integer pair (c0, c1) meaning c0 + c1*k, and the solver's
-one evaluator of L; :func:`apply_to_monomial` and :func:`eigenvalue` read
-its pairs as polynomials, and tests check them against the first, which
-stays the independent reference.  :func:`apply` collects the pairs
+one evaluator of L.  The image depends on the exponent alone, so the
+process keeps one bounded memo of images, shared by every solve; the
+grouped table is evaluated on a miss only.  Like the table, the memo
+belongs to the operator, and :func:`csd4.solver.clear_cache` leaves it.
+:func:`apply_to_monomial` and :func:`eigenvalue` read its pairs as
+polynomials, and tests check them against the first, which stays the
+independent reference.  :func:`apply` collects the pairs
 (c, n*a) of a coefficient c of p, the integer n its derivative brings
 down and a coefficient a of the table under their output monomial, and
 sums each monomial once, with :func:`~csd4.kappa.kappa_sum`, so it forms
@@ -27,6 +31,8 @@ independently, by the finite-difference operator on the torus
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from .kappa import KappaRational, kappa_all_zero, kappa_linear, kappa_sum, poly_neg, poly_scale
 from .rootsystem import TRIALITY_MAPS, check_dominant, weight_to_root
@@ -138,16 +144,30 @@ def _derive() -> tuple:
 
 _FALLING, _DIAGONAL, _SHIFTED = _derive()
 
+# The images monomial_image keeps.  The cones of all dominant |m| <= 8 (every
+# request of the coupling_mix population) share 748 exponents, so a bound of
+# 1024 holds them all; a larger cone evicts the least recently used.
+_IMAGE_MEMO_SIZE = 1024
 
+
+@lru_cache(maxsize=_IMAGE_MEMO_SIZE)
 def monomial_image(e) -> tuple:
     """L z^e on integers, from the grouped table: eps(e) as a pair (c0, c1),
-    meaning c0 + c1*k, and the off-diagonal terms as a list of pairs
+    meaning c0 + c1*k, and the off-diagonal terms as a tuple of pairs
     (f, (c0, c1)) for the nonzero coefficients of z^f, f = e - s.
 
-    Each falling-factorial product (e)_n of ``_FALLING`` is computed once,
-    and each group sums c0 and c1 times its terms' products.  The shifts are
-    distinct and nonzero, so each term has its own exponent.
+    The image depends on e alone, so the process keeps the last
+    ``_IMAGE_MEMO_SIZE`` images, shared by every solve; a hit costs one
+    lookup.  A miss checks e (:func:`~csd4.rootsystem.check_dominant`), so
+    no entry is stored under an exponent that is not four non-negative ints,
+    then computes each falling-factorial product (e)_n of ``_FALLING`` once,
+    and each group sums c0 and c1 times its terms' products.  A bool or
+    float entry that hashes equal to an int finds that int's image, so
+    :func:`apply_to_monomial` and :func:`eigenvalue` check their exponent
+    before the lookup.  The shifts are distinct and nonzero, so each term
+    has its own exponent.
     """
+    e = check_dominant(e)
     x = []
     for factors in _FALLING:
         v = 1
@@ -169,7 +189,7 @@ def monomial_image(e) -> tuple:
                 msg = f"nonzero shift coefficient at invalid exponent {shifted}"
                 raise ArithmeticError(msg)
             out.append((shifted, (c0, c1)))
-    return diagonal, out
+    return diagonal, tuple(out)
 
 
 def eigenvalue(m) -> KappaRational:
@@ -179,8 +199,9 @@ def eigenvalue(m) -> KappaRational:
 
 def apply_to_monomial(e) -> ZPolynomial:
     """L z^e as a polynomial, the pairs of :func:`monomial_image` read by
-    :func:`~csd4.kappa.kappa_linear`; tests check it against :func:`apply`."""
-    e = tuple(e)
+    :func:`~csd4.kappa.kappa_linear`; tests check it against :func:`apply`.
+    An exponent that is not four non-negative ints raises ValueError."""
+    e = check_dominant(e)
     eps, image = monomial_image(e)
     out = {e: kappa_linear(*eps)} if eps != (0, 0) else {}
     for f, coeff in image:

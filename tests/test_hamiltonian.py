@@ -173,20 +173,55 @@ def test_integer_evaluator_matches_both_routes():
 
 
 def test_monomial_route_rejects_invalid_exponent(monkeypatch):
-    # The evaluator reads _FALLING and _SHIFTED when called, so both walks
-    # meet the term: an empty product appended to _FALLING is the constant 1.
+    # The evaluator reads _FALLING and _SHIFTED on a memo miss, so with the
+    # memo emptied both walks meet the term: an empty product appended to
+    # _FALLING is the constant 1.
     always = (rs.root_to_weight((1, 0, 0, 0)), [(1, 0, len(ham._FALLING))])
     monkeypatch.setattr(ham, "_FALLING", (*ham._FALLING, ()))
     monkeypatch.setattr(ham, "_SHIFTED", (always,))
     routes = [ham.monomial_image, ham.apply_to_monomial, solver.solve,
               lambda m: solver.solve_at(m, Fraction(7, 10))]
     solver.clear_cache()
+    ham.monomial_image.cache_clear()
     try:
         for route in routes:
             with pytest.raises(ArithmeticError):
                 route((0, 0, 0, 0))
     finally:
         solver.clear_cache()
+        ham.monomial_image.cache_clear()
+
+
+@pytest.mark.parametrize("e", [(True, 0, 0, 0), (1.5, 0, 0, 0), (-1, 0, 0, 0), (1, 0, 0)],
+                         ids=["bool", "float", "negative", "three"])
+def test_bad_exponent_is_refused_around_the_memo(e):
+    # apply_to_monomial checks before the lookup, where (True, 0, 0, 0)
+    # would find z1's image; monomial_image checks on a miss, so no entry
+    # is stored under a bad exponent for a later solve to find.
+    ham.monomial_image((1, 0, 0, 0))
+    with pytest.raises(ValueError):
+        ham.apply_to_monomial(e)
+    ham.monomial_image.cache_clear()
+    with pytest.raises(ValueError):
+        ham.monomial_image(e)
+    assert ham.monomial_image.cache_info().currsize == 0
+
+
+def test_image_memo_is_bounded_shared_and_faithful():
+    ham.monomial_image.cache_clear()
+    solver.clear_cache()
+    try:
+        solver.solve((6, 6, 6, 6))  # 844 images, the orbit minima of 3,295 exponents
+        solver.solve_at((5, 5, 4, 3), Fraction(7, 10))  # 1,018 more, less the overlap
+    finally:
+        solver.clear_cache()
+    info = ham.monomial_image.cache_info()
+    assert info.misses > info.maxsize == 1024 >= info.currsize
+    for e in itertools.product(range(5), repeat=4):
+        image = ham.monomial_image(e)
+        assert isinstance(image[1], tuple)
+        assert image == ham.monomial_image.__wrapped__(e), e
+        assert ham.monomial_image(e) is image  # one shared entry
 
 
 def test_monomial_shifts_stay_in_root_cone():
