@@ -91,10 +91,10 @@ def qcheck() -> list:
     signs = set()
     for m in ((1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0)):
         for kappa in (Fraction(7, 10), Fraction(13, 10)):
-            _, worst, seen = qspace.scan_residuals(m, kappa, points, 1e-4)
+            _, worst, seen = qspace.scan_residuals(m, kappa, points, qspace.STEP)
             signs |= seen
             checks.append(Check(f"residual m={list(m)} kappa={kappa}",
-                                worst < 1e-6, {"max_residual": worst}))
+                                worst < qspace.TOLERANCE, {"max_residual": worst}))
     checks.append(Check("consistent sign", len(signs) == 1))
     return checks
 

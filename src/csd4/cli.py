@@ -20,7 +20,6 @@ from .errors import PoleAtKappa, Report
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
-EXIT_USAGE = 2
 EXIT_POLE = 3
 
 
@@ -53,9 +52,8 @@ def _parse_kappa(text: str):
     return None if text == "symbolic" else _parse_coupling(text)
 
 
-def _bounded(convert, low=None, strict=False):
-    """An argparse type: ``convert(text)``, finite as a float, and at least
-    ``low`` (above it if strict) unless ``low`` is None."""
+def _bounded(convert, low=None):
+    """An argparse type: ``convert(text)``, finite as a float, and >= ``low`` if given."""
     def parse(text: str):
         value = convert(text)
         try:
@@ -64,9 +62,8 @@ def _bounded(convert, low=None, strict=False):
             finite = False
         if not finite:
             raise argparse.ArgumentTypeError(f"must be finite as a float, got {text!r}")
-        if low is not None and not (value > low if strict else value >= low):
-            bound = f"{'>' if strict else '>='} {low}"
-            raise argparse.ArgumentTypeError(f"must be {bound}, got {text!r}")
+        if low is not None and value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {text!r}")
         return value
 
     parse.__name__ = convert.__name__  # argparse names it in "invalid int value"
@@ -136,7 +133,7 @@ def cmd_genfun(args) -> int:
 
 def cmd_qcheck(args) -> int:
     points = qspace.generic_points(args.seed, args.samples)
-    results, worst, signs = qspace.scan_residuals(args.m, args.kappa, points, args.step)
+    results, worst, signs = qspace.scan_residuals(args.m, args.kappa, points, qspace.STEP)
     if not math.isfinite(worst):  # the floats overflowed: nothing was checked
         raise OverflowError("non-finite torus residual")
     rows = [{"q": list(q), "residual": r.residual, "sign": r.sign}
@@ -144,12 +141,12 @@ def cmd_qcheck(args) -> int:
     return _emit({
         "m": list(args.m),
         "kappa": str(args.kappa),
-        "step": args.step,
+        "step": qspace.STEP,
         "seed": args.seed,
         "points": rows,
         "max_residual": worst,
         "consistent_sign": len(signs) == 1,
-        "ok": worst < args.tolerance and len(signs) == 1,
+        "ok": worst < qspace.TOLERANCE and len(signs) == 1,
     })
 
 
@@ -218,13 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
     p._negative_number_matcher = _NEGATIVE_NUMBER
     p.add_argument("--samples", type=_bounded(int, 1), default=5,
                    help="number of generic torus points (default 5)")
-    # A step at most eps cannot move a torus angle of order 1.
-    p.add_argument("--step", type=_bounded(float, sys.float_info.epsilon, strict=True),
-                   default=1e-4, help="finite-difference step (default 1e-4)")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for the point sampler (default 0)")
-    p.add_argument("--tolerance", type=_bounded(float, 0, strict=True), default=1e-6,
-                   help="pass threshold on the relative residual")
     p.set_defaults(func=cmd_qcheck)
 
     p = sub.add_parser("verify", help="run a verification suite")
@@ -238,12 +230,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    step, tolerance = getattr(args, "step", 1), getattr(args, "tolerance", 1)
-    if step * step * tolerance <= sys.float_info.epsilon:
-        ap.error(f"--step {step} is too small for --tolerance {tolerance}: the "
-                 "rounding error eps/step^2 of the second difference exceeds it")
     if getattr(args, "check", None) == "pde" and args.label not in ("F0", "F1"):
         ap.error(f"the pde check is defined for F0/F1 only, not {args.label}")
+    # Exact output may pass the int-to-str digit limit (Python 3.10.7 on); parsing keeps it.
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except PoleAtKappa as exc:
@@ -254,6 +246,9 @@ def main(argv=None) -> int:
             raise
         ap.error(f"--kappa {float(args.kappa):g} is too large for the floating-point "
                  "torus check")
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -19,6 +19,10 @@ from .errors import NearSingularity
 
 _PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 _MARGIN = 0.2  # every |sin| factor of a generic point exceeds it
+# Central second differences in double precision: truncation ~h^2 and
+# rounding ~eps/h^2 balance near eps^(1/4) ~ 1.2e-4.
+STEP = 1e-4
+TOLERANCE = 1e-6  # pass threshold on the relative residual, > eps/STEP^2
 
 
 def characters_from_q(q):
@@ -78,15 +82,12 @@ def apply_torus_operator(f, q, kappa: float, h: float) -> complex:
     """
     q = list(q)
     f0 = f(q)
-    plus = []
-    minus = []
+    plus, minus = [], []
     for j in range(4):
-        qp = list(q)
-        qp[j] += h
-        plus.append(f(qp))
-        qm = list(q)
-        qm[j] -= h
-        minus.append(f(qm))
+        for d, out in ((h, plus), (-h, minus)):
+            qq = list(q)
+            qq[j] += d
+            out.append(f(qq))
     second = sum(plus[j] - 2 * f0 + minus[j] for j in range(4)) / (h * h)
     first = [(plus[j] - minus[j]) / (2 * h) for j in range(4)]
     drift = 0j
@@ -104,7 +105,7 @@ class ResidualResult:
     plus: float
 
 
-def hamiltonian_residual(m, kappa, q, h: float = 1e-4) -> ResidualResult:
+def hamiltonian_residual(m, kappa, q, h: float = STEP) -> ResidualResult:
     """Relative residual of the eigenvalue equation at one torus point.
 
     The polynomial is specialized exactly at the rational coupling and
@@ -139,10 +140,8 @@ def scan_residuals(m, kappa, points, h: float):
             raise NearSingularity(f"eigenfunction vanishes at {q}")
         res_minus = abs(-applied - eps * phi0) / scale
         res_plus = abs(applied - eps * phi0) / scale
-        if res_minus <= res_plus:
-            results.append(ResidualResult(res_minus, -1, res_minus, res_plus))
-        else:
-            results.append(ResidualResult(res_plus, +1, res_minus, res_plus))
+        sign, res = (-1, res_minus) if res_minus <= res_plus else (+1, res_plus)
+        results.append(ResidualResult(res, sign, res_minus, res_plus))
     # A non-finite residual, NaN too, is the worst: it fails every tolerance.
     worst = max((r.residual for r in results), default=0.0,
                 key=lambda x: x if math.isfinite(x) else math.inf)

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -248,56 +249,30 @@ def test_verify_reports_an_unreadable_corpus(spoil, error, tmp_path, monkeypatch
     ["compute", "--m", "1,x,0,0"],
     ["genfun", "--label", "F0", "--order", "-1"],
     ["genfun", "--label", "G0", "--check", "pde"],
-    ["verify", "--suite", "recur", "--max-m", "0"],
-    ["verify", "--suite", "genfun", "--order", "-3"],
-    ["verify", "--suite", "qcheck", "--step", "0"],
-    ["qcheck", "--m", "1,0,0,0", "--step", "0"],
     ["qcheck", "--m", "1,0,0,0", "--kappa", "1/0"],
     ["qcheck", "--m", "1,0,0,0", "--kappa", "symbolic"],
     ["qcheck", "--m", "1,0,0,0", "--samples", "0"],
-    ["qcheck", "--m", "1,0,0,0", "--tolerance", "-1"],
-    ["qcheck", "--m", "1,0,0,0", "--tolerance", "0"],
-    ["qcheck", "--m", "1,0,0,0", "--tolerance", "nan"],
-    ["qcheck", "--m", "1,0,0,0", "--tolerance", "inf"],
-    ["verify", "--suite", "qcheck", "--tolerance", "-1"],
-    ["verify", "--suite", "qcheck", "--tolerance", "nan"],
-    ["verify", "--suite", "qcheck", "--tolerance", "inf"],
-    ["qcheck", "--m", "1,0,0,0", "--step", "inf", "--samples", "1"],
-    ["verify", "--suite", "qcheck", "--step", "inf"],
     ["qcheck", "--m", "1,0,0,0", "--kappa", "1e400"],
     # finite as a float, but the eigenvalue at this coupling is not
     ["qcheck", "--m", "1,0,0,0", "--kappa", "1e308", "--samples", "1"],
     # the eigenvalue is finite, but the torus arithmetic overflows to NaN
     ["qcheck", "--m", "1,0,0,0", "--kappa", "1e307", "--samples", "1"],
-    # a step at or below machine epsilon cannot move a torus angle of order 1
-    ["qcheck", "--m", "1,0,0,0", "--step", "1e-200", "--samples", "1"],
-    ["verify", "--suite", "qcheck", "--step", "1e-200"],
-    ["qcheck", "--m", "1,0,0,0", "--step", "1e-17"],
-    # the second difference's rounding error eps/step^2 must stay below the
-    # tolerance
-    ["qcheck", "--m", "1,0,0,0", "--step", "1e-15", "--samples", "1"],
-    ["verify", "--suite", "qcheck", "--step", "1e-15"],
-    ["qcheck", "--m", "1,0,0,0", "--step", "1e-6", "--tolerance", "1e-6"],
-    # verify runs one fixed configuration: a tuning option, even at the
-    # value the suite uses, is unknown
+    # verify runs one fixed configuration, and qcheck one numerical method
+    # (qspace.STEP and qspace.TOLERANCE): a tuning option, even at the value
+    # used, is unknown
     ["verify", "--suite", "recur", "--max-m", "3"],
     ["verify", "--suite", "genfun", "--order", "6"],
     ["verify", "--suite", "eigen", "--seed", "0"],
     ["verify", "--suite", "qcheck", "--step", "1e-4"],
     ["verify", "--suite", "qcheck", "--tolerance", "1e-6"],
+    ["qcheck", "--m", "1,0,0,0", "--step", "1e-4"],
+    ["qcheck", "--m", "1,0,0,0", "--tolerance", "1e-6"],
 ], ids=[
     "compute-short-m", "compute-non-integer-m", "genfun-order", "genfun-pde-label",
-    "verify-max-m", "verify-order",
-    "verify-step", "qcheck-step", "qcheck-kappa-pole", "qcheck-kappa-symbolic",
-    "qcheck-samples", "qcheck-tolerance-negative", "qcheck-tolerance-zero",
-    "qcheck-tolerance-nan", "qcheck-tolerance-inf", "verify-tolerance-negative",
-    "verify-tolerance-nan", "verify-tolerance-inf", "qcheck-step-inf",
-    "verify-step-inf", "qcheck-kappa-overflow", "qcheck-energy-overflow",
-    "qcheck-residual-overflow",
-    "qcheck-step-underflow", "verify-step-underflow", "qcheck-step-below-epsilon",
-    "qcheck-step-rounding", "verify-step-rounding", "qcheck-step-for-tolerance",
+    "qcheck-kappa-pole", "qcheck-kappa-symbolic", "qcheck-samples",
+    "qcheck-kappa-overflow", "qcheck-energy-overflow", "qcheck-residual-overflow",
     "verify-no-max-m", "verify-no-order", "verify-no-seed", "verify-no-step",
-    "verify-no-tolerance",
+    "verify-no-tolerance", "qcheck-no-step", "qcheck-no-tolerance",
 ])
 def test_usage_error_exit_code(argv, capsys):
     with pytest.raises(SystemExit) as err:
@@ -335,13 +310,27 @@ def test_console_script_entry_point():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     result = subprocess.run(
-        [sys.executable, "-m", "csd4.cli", "dims", "--m", "1,0,0,0"],
+        [sys.executable, "-m", "csd4", "dims", "--m", "1,0,0,0"],
         capture_output=True,
         text=True,
         env=env,
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["dim"] == 8
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_output_beyond_the_int_to_str_digit_limit(fmt, capsys):
+    # At this coupling some exact coefficients have more digits than
+    # Python's default int-to-str limit (4,300 from 3.10.7 on); main lifts the
+    # limit while the command runs and restores it on return.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, out = run(capsys, "compute", "--m", "2,2,2,2", "--kappa", "1e400", "--format", fmt)
+    assert code == 0
+    if fmt == "json":
+        assert json.loads(out)["kappa"] == "1" + "0" * 400
+    assert max(len(s) for s in re.findall(r"\d+", out)) > 4300
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
 def test_json_keys_sorted(capsys):
