@@ -41,11 +41,22 @@ def _parse_m(text: str):
 _NEGATIVE_NUMBER = re.compile(r"^-\d+/\d+$|^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
+# By default int() parses at most 4,300 digits (sys.int_info.default_max_str_digits),
+# so a coupling written out longer is a bad value.  One in exponent notation is
+# refused at the same size, before an exact solve whose time grows about as the
+# square of its digits.
+_COUPLING_DIGITS = 4300
+
+
 def _parse_coupling(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        value = Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"bad coupling value {text!r}")
+    if max(abs(value.numerator), value.denominator) >= 10**_COUPLING_DIGITS:
+        raise argparse.ArgumentTypeError(
+            f"coupling value {text!r} has more than {_COUPLING_DIGITS} digits")
+    return value
 
 
 def _parse_kappa(text: str):

@@ -489,14 +489,14 @@ def kappa_sum(terms, over: IntPoly = _ONE, memo=None) -> KappaRational:
     """sum(c * a) over the pairs of :func:`_pairs`, divided by ``over`` (nonzero,
     of degree at most 1), reduced once over one lcm (:func:`_lcm`) and ``over``.
 
-    With integer denominators only, the products c.num * a are summed as
-    they are.  Otherwise each is multiplied up to the lcm as an integer
-    (Kronecker substitution): every polynomial is packed as its value at
-    2**bits, bits a multiple of 64 above the largest coefficient the sum can
-    have, and the packed sum unpacks to the numerator N.  A linear factor f
-    can divide N only if f(2**bits) divides the packed sum, so only those,
-    and any non-linear factor, are tested.  ``memo`` (by default, one per
-    call) keeps the carriers and, by id(c), c, its bit bound and packings.
+    With integer denominators only, the products c.num * a are summed as they
+    are.  Otherwise each is multiplied up to the lcm as an integer (Kronecker
+    substitution): packed as its value at 2**bits, bits a multiple of 64 above
+    the largest coefficient the sum can have; the packed sum unpacks to the
+    numerator N.  A linear factor f can divide N only if f(2**bits) divides the
+    packed sum, so only those, and any non-linear factor, are tested.  ``memo``
+    (by default, one per call) keeps the carriers and, by id(c), c, its packings
+    and its bound less its own factors' bits: a sum adds the lcm's bits once.
     """
     memo = {} if memo is None else memo
     terms = _pairs(terms, memo)
@@ -510,29 +510,29 @@ def kappa_sum(terms, over: IntPoly = _ONE, memo=None) -> KappaRational:
         for c, a in terms:
             num = poly_add(num, poly_scale(poly_mul(c.num, a), content // c._content))
     else:
-        fbits = {f: sum(map(abs, f)).bit_length() for f in top}  # of |f|_1
-        # what each distinct factor dict lacks of the lcm, with its bits
-        miss = {k: [(f, e - fs.get(f, 0)) for f, e in top.items() if e > fs.get(f, 0)]
-                for k, fs in dicts.items()}
-        mbits = {k: sum(fbits[f] * d for f, d in ms) for k, ms in miss.items()}
-        # |c.num * a * s * prod f^d|_inf <= |c.num|_inf |a|_1 s prod |f|_1^d
-        rows, width = [], 0
+        # |c.num a s prod f^d|_inf <= |c.num|_inf |a|_1 s prod |f|_1^d, f^d what c lacks
+        lcm_bits = sum(e * sum(map(abs, f)).bit_length() for f, e in top.items())
+        groups, width = {k: [] for k in dicts}, 0
         for c, a in terms:
             row = memo.get(id(c))
             if row is None:
-                row = memo[id(c)] = (c, max(max(c.num), -min(c.num)).bit_length(), {})
-            s = content // c._content
-            width = max(width, row[1] + mbits[id(c._factors)] + (sum(map(abs, a)) * s).bit_length())
-            rows.append((row, a, s))
+                own = sum(e * sum(map(abs, f)).bit_length() for f, e in c._factors.items())
+                row = memo[id(c)] = (c, max(max(c.num), -min(c.num)).bit_length() - own, {})
+            groups[id(c._factors)].append((row, a, s := content // c._content))
+            width = max(width, lcm_bits + row[1] + (sum(map(abs, a)) * s).bit_length())
         bits = -(-(width + len(terms).bit_length() + 1) // 64) * 64  # room for sum and sign
         pf = {f: _pack(f, bits) for f in factors}
-        sums = dict.fromkeys(dicts, 0)
-        for (c, _, packed), a, s in rows:
-            x = packed.get(bits)
-            if x is None:
-                x = packed[bits] = _pack(c.num, bits)
-            sums[id(c._factors)] += x * (_pack(a, bits) * s)
-        total = sum(x * math.prod(pf[f] ** d for f, d in miss[k]) for k, x in sums.items())
+        total = 0
+        for k, group in groups.items():  # each dict's dot product times what it lacks
+            x, cof, fs = 0, 1, dicts[k]
+            for (c, _, packed), a, s in group:
+                if (y := packed.get(bits)) is None:
+                    y = packed[bits] = _pack(c.num, bits)
+                x += y * (_pack(a, bits) * s)
+            for f, e in top.items():
+                if d := e - fs.get(f, 0):
+                    cof *= pf[f] ** d
+            total += x * cof
         test = [f for f in factors if len(f) != 2 or not pf[f] or not total % pf[f]]
         num = _unpack(total, bits)
     return _reduce(poly_neg(num) if sign < 0 else num, content * oc, factors or _NO_FACTORS, test)

@@ -74,19 +74,19 @@ def support_cone(m) -> tuple:
     """
     m = check_dominant(m)
     m1, m2, m3, m4 = m
-    elems = []
+    rows = []
     for n2 in range(0, 2 * m2 + m1 + m3 + m4 + 1):
-        for n1 in range(0, (m1 + n2) // 2 + 1):
-            for n3 in range(0, (m3 + n2) // 2 + 1):
-                e2 = m2 + n1 - 2 * n2 + n3
-                for n4 in range(0, (m4 + n2) // 2 + 1):
-                    if e2 + n4 < 0:
-                        continue
+        # e2 = n1 + n3 + n4 - lack >= 0 sets the floor of each inner range
+        lack, cap3, cap4 = 2 * n2 - m2, (m3 + n2) // 2, (m4 + n2) // 2
+        for n1 in range(max(0, lack - cap3 - cap4), (m1 + n2) // 2 + 1):
+            for n3 in range(max(0, lack - n1 - cap4), cap3 + 1):
+                for n4 in range(max(0, lack - n1 - n3), cap4 + 1):
                     # the weight of mu, as rootsystem.root_to_weight has it
                     w = (2 * n1 - n2, 2 * n2 - n1 - n3 - n4, 2 * n3 - n2, 2 * n4 - n2)
                     exp = (m1 - w[0], m2 - w[1], m3 - w[2], m4 - w[3])
-                    elems.append(ConeElement((n1, n2, n3, n4), exp, n1 + n2 + n3 + n4))
-    elems.sort(key=lambda el: (el.height, el.mu))
+                    rows.append((n1 + n2 + n3 + n4, (n1, n2, n3, n4), exp))
+    rows.sort()
+    elems = [ConeElement(mu, exp, h) for h, mu, exp in rows]
     if not elems or elems[0].mu != (0, 0, 0, 0):
         raise InternalInconsistency(f"support cone of {m} misses the origin")
     return tuple(elems)

@@ -6,13 +6,14 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import csd4
 from csd4 import fixtures, genfun
-from csd4.cli import main
+from csd4.cli import _parse_coupling, main
 
 
 def run(capsys, *argv):
@@ -253,6 +254,9 @@ def test_verify_reports_an_unreadable_corpus(spoil, error, tmp_path, monkeypatch
     ["qcheck", "--m", "1,0,0,0", "--kappa", "symbolic"],
     ["qcheck", "--m", "1,0,0,0", "--samples", "0"],
     ["qcheck", "--m", "1,0,0,0", "--kappa", "1e400"],
+    # a numerator or denominator past the digits int() parses, in any notation
+    ["compute", "--m", "2,2,2,2", "--kappa", "1e4300"],
+    ["qcheck", "--m", "1,0,0,0", "--kappa", "1e-4300"],
     # finite as a float, but the eigenvalue at this coupling is not
     ["qcheck", "--m", "1,0,0,0", "--kappa", "1e308", "--samples", "1"],
     # the eigenvalue is finite, but the torus arithmetic overflows to NaN
@@ -270,7 +274,8 @@ def test_verify_reports_an_unreadable_corpus(spoil, error, tmp_path, monkeypatch
 ], ids=[
     "compute-short-m", "compute-non-integer-m", "genfun-order", "genfun-pde-label",
     "qcheck-kappa-pole", "qcheck-kappa-symbolic", "qcheck-samples",
-    "qcheck-kappa-overflow", "qcheck-energy-overflow", "qcheck-residual-overflow",
+    "qcheck-kappa-overflow", "compute-kappa-digits", "qcheck-kappa-digits",
+    "qcheck-energy-overflow", "qcheck-residual-overflow",
     "verify-no-max-m", "verify-no-order", "verify-no-seed", "verify-no-step",
     "verify-no-tolerance", "qcheck-no-step", "qcheck-no-tolerance",
 ])
@@ -279,6 +284,14 @@ def test_usage_error_exit_code(argv, capsys):
         main(argv)
     assert err.value.code == 2
     assert "usage: csd4" in capsys.readouterr().err
+
+
+def test_coupling_digit_limit():
+    # 4,300 digits is the most a coupling's numerator or denominator may
+    # have (the parse alone: no solve at such a coupling runs here).
+    assert _parse_coupling("1e4299") == 10**4299
+    assert _parse_coupling("-1e-4299") == Fraction(-1, 10**4299)
+    assert _parse_coupling("9" * 4300 + "/7") == Fraction(10**4300 - 1, 7)
 
 
 def test_pole_exit_code(capsys):

@@ -476,6 +476,104 @@ def test_kappa_sum_shares_a_memo_across_widths(data):
     assert all(memo[id(x)][0] is x for x in xs if id(x) in memo)  # its id stays its own
 
 
+def miss_list_bounds(pairs) -> list:
+    """Each term's bit bound in a sum of nonzero pairs (c, a), a an integer
+    polynomial, by per-dict miss lists: the bits of c.num, of |a|_1 times
+    the content ratio, and of what c's factor dict lacks of the lcm."""
+    content, top, dicts = kappa._lcm([c for c, _ in pairs])
+    fbits = {f: sum(map(abs, f)).bit_length() for f in top}
+    miss = {k: [(f, e - fs.get(f, 0)) for f, e in top.items() if e > fs.get(f, 0)]
+            for k, fs in dicts.items()}
+    mbits = {k: sum(fbits[f] * d for f, d in ms) for k, ms in miss.items()}
+    return [max(map(abs, c.num)).bit_length() + mbits[id(c._factors)]
+            + (sum(map(abs, a)) * (content // c._content)).bit_length() for c, a in pairs]
+
+
+def test_kappa_sum_packs_at_the_miss_list_width(monkeypatch):
+    # The memo keeps each coefficient's bound net of its own factors' bits
+    # and each sum adds the lcm's once: every term of every sum of a cold
+    # solve, and of apply over its one shared memo, gets the bound of the
+    # miss lists, and each sum packs at the width that bound gives.
+    widths: list = []  # the widths packed at during the current sum
+    pack = kappa._pack
+    monkeypatch.setattr(kappa, "_pack", lambda p, bits: widths.append(bits) or pack(p, bits))
+    checked: list = []
+
+    def checked_sum(terms, over=(1,), memo=None):
+        memo = {} if memo is None else memo
+        pairs = kappa._pairs(terms, memo)  # the carriers kappa_sum finds in memo
+        widths.clear()
+        got = kappa_sum(terms, over, memo)
+        if any(c._factors for c, _ in pairs):
+            want = miss_list_bounds(pairs)
+            content, top, _ = kappa._lcm([c for c, _ in pairs])
+            lcm_bits = sum(e * sum(map(abs, f)).bit_length() for f, e in top.items())
+            assert want == [lcm_bits + memo[id(c)][1]
+                            + (sum(map(abs, a)) * (content // c._content)).bit_length()
+                            for c, a in pairs]
+            bits = -(-(max(want) + len(pairs).bit_length() + 1) // 64) * 64
+            assert set(widths) == {bits}
+            assert all(bits in memo[id(c)][2] for c, _ in pairs)
+            checked.append(bits)
+        return got
+
+    monkeypatch.setattr(solver, "kappa_sum", checked_sum)
+    monkeypatch.setattr(hamiltonian, "kappa_sum", checked_sum)
+    solver.clear_cache()
+    p = solver.solve((3, 3, 3, 3))
+    solved = len(checked)
+    hamiltonian.apply(p.polynomial)
+    assert len(checked) > solved >= 100 and len(set(checked)) > 1
+    solver.clear_cache()
+
+
+def over_linear(num, content, pool, mults):
+    """num / (content * prod f^e) with the linear factors of ``pool`` kept apart."""
+    x = KappaRational(num) / content
+    for f, e in zip(pool, mults):
+        for _ in range(e):
+            x = x / KappaRational(f)
+    return x
+
+
+def test_kappa_sum_of_a_coefficient_with_more_factor_bits_than_numerator_bits():
+    # 5 / ((k + 1)^3 (2k + 3)^2) has a 3-bit numerator against 12 bits of
+    # its own factors: its memo entry is negative, and every sum beside
+    # 1 / (k + 2) still matches the gcd reference.
+    f, g, h = (1, 1), (3, 2), (2, 1)
+    c, b = over_linear(5, 1, [f, g], [3, 2]), over_linear(1, 1, [h], [1])
+    memo: dict = {}
+    for a in [(1,), (-7, 3), poly_scale(h, 2), f, poly_mul(f, g)]:
+        for w in [(1,), (0, 1), (-5,), g]:
+            raw_num = poly_add(poly_mul(poly_scale(a, 5), h), poly_mul(w, c.den))
+            want = gcd_reference(raw_num, poly_mul(c.den, h))
+            for got in (kappa_sum([(c, a), (b, w)], memo=memo), kappa_sum([(c, a), (b, w)])):
+                assert (got.num, got.den) == want
+    assert memo[id(c)][1] == 3 - 12
+
+
+def test_kappa_sum_shares_a_memo_across_lcms():
+    # A memo row holds nothing of one sum's lcm, so one memo over sums whose
+    # lcms differ gives the values fresh memos, and pairwise sums, give.
+    pool = [(1, 1), (3, 2), (-2, 1), (5, 3)]
+    xs = [over_linear(num, content, pool, mults) for num, content, mults in [
+        ((1,), 1, (1, 0, 0, 0)), ((-3, 2), 2, (2, 1, 0, 0)), ((7,), 3, (0, 0, 1, 2)),
+        ((1, 0, 4), 1, (0, 2, 1, 0)), ((5,), 1, (3, 0, 0, 1)), ((2, -1), 6, (0, 0, 0, 0)),
+    ]]
+    weights = [(1,), (-2, 1), (3, 0, 1), (0, 5)]
+    memo: dict = {}
+    lcms = set()
+    for r in (1, 2, 3):
+        for picks in itertools.combinations(xs, r):
+            ps = [(x, weights[i % len(weights)]) for i, x in enumerate(picks)]
+            lcms.add(frozenset(kappa._lcm(picks)[1].items()))
+            whole = sum((x * KappaRational(w) for x, w in ps), KappaRational(0))
+            for over in [(1,), (-3,), (3, 2), (5, 7)]:
+                got = kappa_sum(ps, over, memo)
+                assert got == kappa_sum(ps, over) == whole / KappaRational(over)
+    assert len(lcms) > 10
+
+
 def share_den_case(content, *factors):
     """1 / (content * prod factors) with that factor dict, den not yet expanded."""
     x = KappaRational(1, content)
