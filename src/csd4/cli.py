@@ -47,13 +47,22 @@ _NEGATIVE_NUMBER = re.compile(r"^-\d+/\d+$|^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 # square of its digits.
 _COUPLING_DIGITS = 4300
 
+# The exponent x of a decimal coupling, as Fraction reads it, is checked before
+# Fraction computes 10^|x|.  A mantissa of p integer and d decimal digits (each at
+# most _COUPLING_DIGITS) is M / 10^d, 0 < M < 10^(p+d), so past x = 2 *
+# _COUPLING_DIGITS the numerator is at least 10^(x-d), and past x = -2 *
+# _COUPLING_DIGITS the denominator is more than 10^(-x-p): over the limit.
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+
 
 def _parse_coupling(text: str) -> Fraction:
+    exp = _EXPONENT.search(text)
     try:
-        value = Fraction(text)
+        huge = exp is not None and abs(int(exp[1])) > 2 * _COUPLING_DIGITS
+        value = None if huge else Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"bad coupling value {text!r}")
-    if max(abs(value.numerator), value.denominator) >= 10**_COUPLING_DIGITS:
+    if huge or max(abs(value.numerator), value.denominator) >= 10**_COUPLING_DIGITS:
         raise argparse.ArgumentTypeError(
             f"coupling value {text!r} has more than {_COUPLING_DIGITS} digits")
     return value

@@ -13,9 +13,9 @@ of the denominators.  Both sum kernels read pairs (c, a), a an integer
 polynomial or a ``KappaRational``: :func:`kappa_sum`, the dot product, on
 integers packed by Kronecker substitution once a denominator has a factor,
 and :func:`kappa_all_zero`, a zero test of many sums that reduces none.
-Lowest terms take a synthetic division per linear factor, an integer gcd
-for the content, and :func:`poly_gcd` only for a non-linear factor of no
-known factorization (from a string, the constructor, or an inverse).
+One reduction gives lowest terms: a synthetic division per linear factor
+that passes a screen at one integer point, an integer gcd for the content, and
+:func:`poly_gcd` for a non-linear factor (from a string, the constructor, or an inverse).
 
 Polynomials are stored as tuples of integer coefficients, lowest degree
 first, with no trailing zeros; the empty tuple is the zero polynomial.
@@ -33,6 +33,8 @@ IntPoly = tuple  # tuple[int, ...]
 
 _ZERO: IntPoly = ()
 _ONE: IntPoly = (1,)
+# Primitive f | p in Z[k] gives f(x) | p(x) at each integer x (Gauss): _reduce's screen point
+_SCREEN_BITS = 16
 
 
 def poly_trim(coeffs) -> IntPoly:
@@ -420,26 +422,26 @@ def _div_linear(p: IntPoly, a: int, b: int):
     return tuple(q) if r == 0 else None
 
 
-def _reduce(num: IntPoly, content: int, factors: dict, test=None) -> KappaRational:
+def _reduce(num: IntPoly, content: int, factors: dict) -> KappaRational:
     """num / (content * prod f^e) in lowest terms.
 
-    The factors in ``test`` (default: all) are tried against num.  A linear
-    factor is cancelled by synthetic division; a non-linear one, which
+    A linear factor is tried by synthetic division while its value at
+    2**_SCREEN_BITS is 0 or divides num's there; a non-linear one, which
     arrives only with no known factorization, through :func:`poly_gcd`.
     """
     if not num:
         return _KR_ZERO
     if len(num) > 1 and factors:
-        kept = dict(factors)
-        for f in factors if test is None else test:
+        kept, x = dict(factors), _pack(num, _SCREEN_BITS)
+        for f in factors:
             e = kept.pop(f)
             if len(f) == 2:
-                while e:
+                y = f[0] + (f[1] << _SCREEN_BITS)
+                while e and (not y or not x % y):
                     q = _div_linear(num, f[0], f[1])
                     if q is None:
                         break
-                    num = q
-                    e -= 1
+                    num, e, x = q, e - 1, x // (y or 1)  # a multiple of num's value there
                 if e:
                     kept[f] = kept.get(f, 0) + e
                 continue
@@ -493,9 +495,8 @@ def kappa_sum(terms, over: IntPoly = _ONE, memo=None) -> KappaRational:
     are.  Otherwise each is multiplied up to the lcm as an integer (Kronecker
     substitution): packed as its value at 2**bits, bits a multiple of 64 above
     the largest coefficient the sum can have; the packed sum unpacks to the
-    numerator N.  A linear factor f can divide N only if f(2**bits) divides the
-    packed sum, so only those, and any non-linear factor, are tested.  ``memo``
-    (by default, one per call) keeps the carriers and, by id(c), c, its packings
+    numerator, which :func:`_reduce` brings to lowest terms.  ``memo`` (by
+    default, one per call) keeps the carriers and, by id(c), c, its packings
     and its bound less its own factors' bits: a sum adds the lcm's bits once.
     """
     memo = {} if memo is None else memo
@@ -504,9 +505,8 @@ def kappa_sum(terms, over: IntPoly = _ONE, memo=None) -> KappaRational:
         return _KR_ZERO
     content, top, dicts = _lcm([c for c, _ in terms])
     sign, oc, of = _factor(over)
-    factors = _joined(top, of)
     if not top:  # integer denominators: the products summed as they are
-        num, test = _ZERO, None
+        num = _ZERO
         for c, a in terms:
             num = poly_add(num, poly_scale(poly_mul(c.num, a), content // c._content))
     else:
@@ -521,7 +521,7 @@ def kappa_sum(terms, over: IntPoly = _ONE, memo=None) -> KappaRational:
             groups[id(c._factors)].append((row, a, s := content // c._content))
             width = max(width, lcm_bits + row[1] + (sum(map(abs, a)) * s).bit_length())
         bits = -(-(width + len(terms).bit_length() + 1) // 64) * 64  # room for sum and sign
-        pf = {f: _pack(f, bits) for f in factors}
+        pf = {f: _pack(f, bits) for f in top}
         total = 0
         for k, group in groups.items():  # each dict's dot product times what it lacks
             x, cof, fs = 0, 1, dicts[k]
@@ -533,9 +533,8 @@ def kappa_sum(terms, over: IntPoly = _ONE, memo=None) -> KappaRational:
                 if d := e - fs.get(f, 0):
                     cof *= pf[f] ** d
             total += x * cof
-        test = [f for f in factors if len(f) != 2 or not pf[f] or not total % pf[f]]
         num = _unpack(total, bits)
-    return _reduce(poly_neg(num) if sign < 0 else num, content * oc, factors or _NO_FACTORS, test)
+    return _reduce(poly_neg(num) if sign < 0 else num, content * oc, _joined(top, of))
 
 
 def _lcm(cs) -> tuple:

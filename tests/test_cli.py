@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, exit codes, determinism."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -257,6 +258,13 @@ def test_verify_reports_an_unreadable_corpus(spoil, error, tmp_path, monkeypatch
     # a numerator or denominator past the digits int() parses, in any notation
     ["compute", "--m", "2,2,2,2", "--kappa", "1e4300"],
     ["qcheck", "--m", "1,0,0,0", "--kappa", "1e-4300"],
+    # an exponent alone past twice that: refused before its power of ten
+    ["compute", "--m", "1,0,0,0", "--kappa", "1e10000000"],
+    ["compute", "--m", "1,0,0,0", "--kappa", "1E+10000000"],
+    ["compute", "--m", "1,0,0,0", "--kappa", "-1e-10000000"],
+    ["qcheck", "--m", "1,0,0,0", "--kappa", "1e10000000"],
+    ["qcheck", "--m", "1,0,0,0", "--kappa", "1E+10000000"],
+    ["qcheck", "--m", "1,0,0,0", "--kappa", "-1e-10000000"],
     # finite as a float, but the eigenvalue at this coupling is not
     ["qcheck", "--m", "1,0,0,0", "--kappa", "1e308", "--samples", "1"],
     # the eigenvalue is finite, but the torus arithmetic overflows to NaN
@@ -275,6 +283,8 @@ def test_verify_reports_an_unreadable_corpus(spoil, error, tmp_path, monkeypatch
     "compute-short-m", "compute-non-integer-m", "genfun-order", "genfun-pde-label",
     "qcheck-kappa-pole", "qcheck-kappa-symbolic", "qcheck-samples",
     "qcheck-kappa-overflow", "compute-kappa-digits", "qcheck-kappa-digits",
+    "compute-kappa-exponent", "compute-kappa-exponent-plus", "compute-kappa-exponent-minus",
+    "qcheck-kappa-exponent", "qcheck-kappa-exponent-plus", "qcheck-kappa-exponent-minus",
     "qcheck-energy-overflow", "qcheck-residual-overflow",
     "verify-no-max-m", "verify-no-order", "verify-no-seed", "verify-no-step",
     "verify-no-tolerance", "qcheck-no-step", "qcheck-no-tolerance",
@@ -292,6 +302,15 @@ def test_coupling_digit_limit():
     assert _parse_coupling("1e4299") == 10**4299
     assert _parse_coupling("-1e-4299") == Fraction(-1, 10**4299)
     assert _parse_coupling("9" * 4300 + "/7") == Fraction(10**4300 - 1, 7)
+    # An exponent is refused past twice the limit before it is applied; the
+    # values with the largest exponents under the limit stay accepted: 4,300
+    # decimal digits bring 10^8599 down to 10^4299, and 4,300 integer digits
+    # bring 10^-8598 up to 1/10^4299.
+    assert _parse_coupling("0." + "0" * 4299 + "1e8599") == 10**4299
+    assert _parse_coupling("1" + "0" * 4299 + "e-8598") == Fraction(1, 10**4299)
+    for text in ["0." + "0" * 4299 + "1e8601", "1" + "0" * 4299 + "e-8601", "0e8601"]:
+        with pytest.raises(argparse.ArgumentTypeError, match="more than 4300 digits"):
+            _parse_coupling(text)
 
 
 def test_pole_exit_code(capsys):

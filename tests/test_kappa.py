@@ -273,6 +273,8 @@ def test_poly_gcd_with_zero():
 # irreducible, k^2 + 3k + 2 = (k + 1)(k + 2) hides two linear factors.
 LINEAR = [(a, b) for b in range(1, 4) for a in range(-4, 5) if math.gcd(a, b) == 1]
 QUADRATICS = [(1, 0, 1), (2, 3, 1)]
+# and k - 2^16, which vanishes at the point where _reduce screens factors
+SCREENED = [*LINEAR, (-(1 << kappa._SCREEN_BITS), 1)]
 
 
 def gcd_reference(num, den):
@@ -328,7 +330,7 @@ def factored_operands(draw, pool, quadratics=QUADRATICS):
 @given(st.data())
 def test_factored_arithmetic_matches_gcd_reference(data):
     pool = data.draw(
-        st.lists(st.sampled_from(LINEAR), min_size=3, max_size=3, unique=True)
+        st.lists(st.sampled_from(SCREENED), min_size=3, max_size=3, unique=True)
     )
     a, an, ad = data.draw(factored_operands(pool))
     b, bn, bd = data.draw(factored_operands(pool))
@@ -386,9 +388,9 @@ LINEAR_WEIGHTS = ["constant", "pool", "carried", "other"]
 @given(st.data())
 def test_kappa_sum_matches_gcd_reference(data):
     pool = data.draw(
-        st.lists(st.sampled_from(LINEAR), min_size=3, max_size=3, unique=True)
+        st.lists(st.sampled_from(SCREENED), min_size=3, max_size=3, unique=True)
     )
-    # The packed pre-test skips only linear factors, and a quadratic weight
+    # The screen skips only linear factors, and a quadratic weight
     # or an opaque quadratic factor change what may cancel, so each example
     # draws one of three regimes.
     regime = data.draw(st.sampled_from(["linear", "quadratic weight", "opaque"]))
@@ -405,7 +407,7 @@ def test_kappa_sum_matches_gcd_reference(data):
     total = kappa_sum(terms)
     assert (total.num, total.den) == gcd_reference(raw_num, raw_den)
     # A term cancelling a prefix leaves factors that several terms carry at
-    # their top multiplicity, which the pre-tested reduction must still cancel.
+    # their top multiplicity, which the screened reduction must still cancel.
     j = data.draw(st.integers(0, len(terms)))
     assert kappa_sum([*terms, (-kappa_sum(terms[:j]), (1,))]) == kappa_sum(terms[j:])
 
@@ -441,13 +443,22 @@ def test_kappa_sum_over_a_divisor_is_the_quotient(data):
 
 
 def test_kappa_sum_is_not_fooled_at_a_packing_point():
-    # A factor k - 2^b packs to 0 at width b; it must still be tried.
+    # A factor k - 2^b packs to 0 at width b, and at b = 16 it vanishes at
+    # _reduce's screen point; it must still be tried, by kappa_sum and by
+    # +, * and the constructor, which reduce by the same rule.
     one = KappaRational(1)
-    for b in range(1, 80):
+    bs = range(1, 80)
+    assert kappa._SCREEN_BITS in bs
+    for b in bs:
         f = (-(1 << b), 1)
-        assert kappa_sum([(one / KappaRational(f), f)]) == one
+        inv = one / KappaRational(f)
+        assert kappa_sum([(inv, f)]) == one
         assert kappa_sum([(one, f)], f) == one
-        assert kappa_sum([(one / KappaRational(f), (1,))], f) == KappaRational(1, poly_mul(f, f))
+        assert kappa_sum([(inv, (1,))], f) == KappaRational(1, poly_mul(f, f))
+        assert kappa_linear(0, 1) * inv + kappa_linear(-(1 << b), 0) * inv == one
+        assert KappaRational(f) * inv == one and inv * KappaRational(f) == one
+        assert KappaRational(poly_mul(f, (1, 2)), f) == KappaRational((1, 2))
+        assert KappaRational(poly_mul(f, (1, 2))) / KappaRational(f) == KappaRational((1, 2))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -493,7 +504,8 @@ def test_kappa_sum_packs_at_the_miss_list_width(monkeypatch):
     # The memo keeps each coefficient's bound net of its own factors' bits
     # and each sum adds the lcm's once: every term of every sum of a cold
     # solve, and of apply over its one shared memo, gets the bound of the
-    # miss lists, and each sum packs at the width that bound gives.
+    # miss lists, and each sum packs at the width that bound gives (and
+    # _reduce's screen at its own width, which is no multiple of 64).
     widths: list = []  # the widths packed at during the current sum
     pack = kappa._pack
     monkeypatch.setattr(kappa, "_pack", lambda p, bits: widths.append(bits) or pack(p, bits))
@@ -512,7 +524,7 @@ def test_kappa_sum_packs_at_the_miss_list_width(monkeypatch):
                             + (sum(map(abs, a)) * (content // c._content)).bit_length()
                             for c, a in pairs]
             bits = -(-(max(want) + len(pairs).bit_length() + 1) // 64) * 64
-            assert set(widths) == {bits}
+            assert set(widths) - {kappa._SCREEN_BITS} == {bits}
             assert all(bits in memo[id(c)][2] for c, _ in pairs)
             checked.append(bits)
         return got
@@ -740,7 +752,13 @@ def test_kappa_sum_over_integer_denominators_packs_nothing(data):
     want = KappaRational(0)
     for c, a in pairs:
         want = want + c * KappaRational(a)
-    with mock.patch.object(kappa, "_pack", side_effect=AssertionError("packed")):
+    pack = kappa._pack
+
+    def screen_only(p, bits):  # only _reduce's screen packs, at its own width
+        assert bits == kappa._SCREEN_BITS, "packed"
+        return pack(p, bits)
+
+    with mock.patch.object(kappa, "_pack", screen_only):
         got = kappa_sum(pairs, over)
     assert got == want / KappaRational(over)
     if how == "zero":
