@@ -7,9 +7,10 @@ Clebsch-Gordan series.  The identity z_v P_m - sum c_j P_j is kept as one
 row of pairs per exponent, each c_j a rational weight on the coefficients of
 P_j as it stands.  The basis is unitriangular in the height order, so each
 admissible slot's coefficient is the :func:`~csd4.kappa.kappa_sum` of its
-own row once the slots above it are in; one exact batch
-(:func:`~csd4.kappa.kappa_all_zero`) then zero-tests every row, which also
-verifies that only the admissible shift slots appear.
+own row once the slots above it are in.  That settles the slot's row: P_j is
+monic and no lower slot reaches it.  One exact batch
+(:func:`~csd4.kappa.kappa_all_zero`) then zero-tests the rows no slot
+settles, which also verifies that only the admissible shift slots appear.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from dataclasses import dataclass
 from .errors import Check, Report, ResidualNonzero
 from .kappa import KappaRational, kappa_all_zero, kappa_linear, kappa_sum
 from .rootsystem import (
-    TRIALITY_MAPS, WEYL_VECTOR_ROOT, apply_triality, weight_orbit, weight_to_root,
+    TRIALITY_MAPS, WEYL_VECTOR_ROOT, apply_triality, check_dominant, weight_orbit,
+    weight_to_root,
 )
 from .solver import CSPolynomial, solve
 from .zpoly import Z1, ZPolynomial, to_rows, variable_slot
@@ -62,23 +64,25 @@ def expand_product(v: int, m) -> RecurrenceExpansion:
     there: (P_m[e - delta_v], 1) and (P_j[e], -c_j), each -c_j a rational
     weight.  The admissible slots are taken highest first; P_j is monic and
     no lower P_j reaches a slot's exponent s, so c_s is the sum of row s as
-    it stands, and a nonzero c_s adds its pairs to the rows of P_s.  Then
-    one :func:`~csd4.kappa.kappa_all_zero` tests every row for zero.  A
-    nonzero row names the leading remainder in the error.
+    it stands, row s is settled (it would gain only (1, -c_s)) and leaves
+    ``rows``, and a nonzero c_s adds its pairs to the other rows of P_s.
+    Then one :func:`~csd4.kappa.kappa_all_zero` tests the rows left for
+    zero.  A nonzero row names the leading remainder in the error.
     """
     i = variable_slot(v)
-    m = tuple(m)
+    m = check_dominant(m)
     slots = {tuple(m[i] + s[i] for i in range(4)) for s in SHIFTS[v]}
     rows = {}  # exponent -> the pairs of z_v P_m - sum c_j P_j there
     for e, c in solve(m).polynomial.terms.items():
         rows.setdefault((*e[:i], e[i] + 1, *e[i + 1:]), []).append((c, (1,)))
     terms = {}
     for s in sorted(slots, key=_monomial_key, reverse=True):
-        if min(s) >= 0 and (c := kappa_sum(rows.get(s, ()))):
+        if min(s) >= 0 and (c := kappa_sum(rows.pop(s, ()))):
             terms[s] = c
             w = -c
             for e, p in solve(s).polynomial.terms.items():
-                rows.setdefault(e, []).append((p, w))
+                if e != s:
+                    rows.setdefault(e, []).append((p, w))
     if not kappa_all_zero(rows.values()):
         lead = max((e for e, pairs in rows.items() if not kappa_all_zero([pairs])),
                    key=_monomial_key)

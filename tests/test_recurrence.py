@@ -70,6 +70,15 @@ def test_expand_product_names_a_bad_variable():
             rec.expand_product(v, (1, 0, 0, 0))
 
 
+def test_expand_product_checks_the_weight_first():
+    sigma = rs.TRIALITY_MAPS[1]
+    for m in [(1, 0, 0), (1, 0, 0, 0, 0), (True, 0, 0, 0), "abcd", (0, -1, 0, 0)]:
+        with pytest.raises(ValueError, match="weight"):
+            rec.expand_product(1, m)
+        with pytest.raises(ValueError, match="weight"):
+            rec.triality_consistent(1, m, sigma)
+
+
 def test_reconstruction_identity():
     for v, m in [(1, (1, 1, 0, 0)), (2, (1, 0, 1, 0)), (3, (0, 1, 0, 1)),
                  (4, (2, 0, 0, 0)), (2, (1, 1, 1, 1))]:
@@ -194,11 +203,20 @@ def test_residual_nonzero_on_corrupt_table(monkeypatch):
 
 def test_residual_test_makes_no_pairwise_add(monkeypatch):
     # The identity z_v P_m = sum c_j P_j is kept as rows of pairs, each c_j a
-    # weight as it stands: one kappa_sum per admissible slot reads its row,
-    # one kappa_all_zero tests every row, and no KappaRational + or * runs.
+    # weight as it stands: one kappa_sum per admissible slot reads and settles
+    # its row, one kappa_all_zero tests the rows of z_v P_m and of each
+    # nonzero slot's P_s that no slot settles, and no KappaRational + or * runs.
     cases = ((2, (0, 1, 1, 1)), (1, (2, 1, 1, 0)))
+    want = []
     for v, m in cases:
-        rec.expand_product(v, m)  # every solve it needs is cached
+        e = rec.expand_product(v, m)  # every solve it needs is cached
+        exps = {tuple(a + (j == v - 1) for j, a in enumerate(x))
+                for x in solver.solve(m).polynomial.terms}
+        for s in e.terms:
+            exps |= set(solver.solve(s).polynomial.terms)
+        slots = {tuple(a + b for a, b in zip(m, s)) for s in rec.SHIFTS[v]}
+        want.append(len(exps - slots))
+    sizes = []
     calls = {"add": 0, "batches": 0, "kappa_sum": 0, "mul": 0}
 
     def counted_add(self, other, _add=KappaRational.__add__):
@@ -211,6 +229,8 @@ def test_residual_test_makes_no_pairwise_add(monkeypatch):
 
     def batch(sums, _all_zero=rec.kappa_all_zero):
         calls["batches"] += 1
+        sums = list(sums)
+        sizes.append(len(sums))
         return _all_zero(sums)
 
     def counted_sum(pairs, _sum=rec.kappa_sum):
@@ -228,6 +248,7 @@ def test_residual_test_makes_no_pairwise_add(monkeypatch):
         shifted = {tuple(a + b for a, b in zip(m, s)) for s in rec.SHIFTS[v]}
         slots += sum(min(e) >= 0 for e in shifted)
     assert calls["batches"] == 2
+    assert sizes == want
     assert calls["add"] == 0
     assert calls["kappa_sum"] == slots
     assert calls["mul"] == 0
