@@ -11,8 +11,8 @@ factored: a positive integer content times primitive factors ``a + b*k``
 (``b > 0``) with multiplicities.  A sum brings each numerator up to the lcm
 of the denominators.  Both sum kernels read pairs (c, a), a an integer
 polynomial or a ``KappaRational``: :func:`kappa_sum`, the dot product, on
-integers packed by Kronecker substitution once a denominator has a factor,
-and :func:`kappa_all_zero`, a zero test of many sums that reduces none.
+integers packed by Kronecker substitution, and :func:`kappa_all_zero`, a zero
+test of many sums that reduces none.
 One reduction gives lowest terms: a synthetic division per linear factor
 that passes a screen at one integer point, an integer gcd for the content, and
 :func:`poly_gcd` for a non-linear factor (from a string, the constructor, or an inverse).
@@ -491,8 +491,7 @@ def kappa_sum(terms, over: IntPoly = _ONE, memo=None) -> KappaRational:
     """sum(c * a) over the pairs of :func:`_pairs`, divided by ``over`` (nonzero,
     of degree at most 1), reduced once over one lcm (:func:`_lcm`) and ``over``.
 
-    With integer denominators only, the products c.num * a are summed as they
-    are.  Otherwise each is multiplied up to the lcm as an integer (Kronecker
+    Each product is multiplied up to the lcm as an integer (Kronecker
     substitution): packed as its value at 2**bits, bits a multiple of 64 above
     the largest coefficient the sum can have; the packed sum unpacks to the
     numerator, which :func:`_reduce` brings to lowest terms.  ``memo`` (by
@@ -501,39 +500,32 @@ def kappa_sum(terms, over: IntPoly = _ONE, memo=None) -> KappaRational:
     """
     memo = {} if memo is None else memo
     terms = _pairs(terms, memo)
-    if not terms:
-        return _KR_ZERO
     content, top, dicts = _lcm([c for c, _ in terms])
     sign, oc, of = _factor(over)
-    if not top:  # integer denominators: the products summed as they are
-        num = _ZERO
-        for c, a in terms:
-            num = poly_add(num, poly_scale(poly_mul(c.num, a), content // c._content))
-    else:
-        # |c.num a s prod f^d|_inf <= |c.num|_inf |a|_1 s prod |f|_1^d, f^d what c lacks
-        lcm_bits = sum(e * sum(map(abs, f)).bit_length() for f, e in top.items())
-        groups, width = {k: [] for k in dicts}, 0
-        for c, a in terms:
-            row = memo.get(id(c))
-            if row is None:
-                own = sum(e * sum(map(abs, f)).bit_length() for f, e in c._factors.items())
-                row = memo[id(c)] = (c, max(max(c.num), -min(c.num)).bit_length() - own, {})
-            groups[id(c._factors)].append((row, a, s := content // c._content))
-            width = max(width, lcm_bits + row[1] + (sum(map(abs, a)) * s).bit_length())
-        bits = -(-(width + len(terms).bit_length() + 1) // 64) * 64  # room for sum and sign
-        pf = {f: _pack(f, bits) for f in top}
-        total = 0
-        for k, group in groups.items():  # each dict's dot product times what it lacks
-            x, cof, fs = 0, 1, dicts[k]
-            for (c, _, packed), a, s in group:
-                if (y := packed.get(bits)) is None:
-                    y = packed[bits] = _pack(c.num, bits)
-                x += y * (_pack(a, bits) * s)
-            for f, e in top.items():
-                if d := e - fs.get(f, 0):
-                    cof *= pf[f] ** d
-            total += x * cof
-        num = _unpack(total, bits)
+    # |c.num a s prod f^d|_inf <= |c.num|_inf |a|_1 s prod |f|_1^d, f^d what c lacks
+    lcm_bits = sum(e * sum(map(abs, f)).bit_length() for f, e in top.items())
+    groups, width = {k: [] for k in dicts}, 0
+    for c, a in terms:
+        row = memo.get(id(c))
+        if row is None:
+            own = sum(e * sum(map(abs, f)).bit_length() for f, e in c._factors.items())
+            row = memo[id(c)] = (c, max(max(c.num), -min(c.num)).bit_length() - own, {})
+        groups[id(c._factors)].append((row, a, s := content // c._content))
+        width = max(width, lcm_bits + row[1] + (sum(map(abs, a)) * s).bit_length())
+    bits = -(-(width + len(terms).bit_length() + 1) // 64) * 64  # room for sum and sign
+    pf = {f: _pack(f, bits) for f in top}
+    total = 0
+    for k, group in groups.items():  # each dict's dot product times what it lacks
+        x, cof, fs = 0, 1, dicts[k]
+        for (c, _, packed), a, s in group:
+            if (y := packed.get(bits)) is None:
+                y = packed[bits] = _pack(c.num, bits)
+            x += y * (_pack(a, bits) * s)
+        for f, e in top.items():
+            if d := e - fs.get(f, 0):
+                cof *= pf[f] ** d
+        total += x * cof
+    num = _unpack(total, bits)
     return _reduce(poly_neg(num) if sign < 0 else num, content * oc, _joined(top, of))
 
 

@@ -121,6 +121,16 @@ def test_triality_equivariance(p):
         )
 
 
+def test_table_is_triality_invariant():
+    # L commutes with triality entry by entry: sigma carries the operator
+    # d_key to d_sigma(key), so its coefficient is the sigma-image of key's.
+    assert len(ham._TABLE) == 14
+    for sigma in rs.TRIALITY_MAPS:
+        for key, coeff in ham._TABLE.items():
+            image = tuple(sorted(sigma[j] for j in key))
+            assert ham._TABLE[image] == coeff.permute_variables(sigma), (sigma, key)
+
+
 def test_shift_groups_derived_from_table():
     # All 17 shifts reach (3,4,3,3); only (1,2,1,1) depends on k.
     e = (3, 4, 3, 3)

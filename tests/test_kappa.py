@@ -4,7 +4,6 @@ import itertools
 import math
 import re
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -516,7 +515,7 @@ def test_kappa_sum_packs_at_the_miss_list_width(monkeypatch):
         pairs = kappa._pairs(terms, memo)  # the carriers kappa_sum finds in memo
         widths.clear()
         got = kappa_sum(terms, over, memo)
-        if any(c._factors for c, _ in pairs):
+        if pairs:
             want = miss_list_bounds(pairs)
             content, top, _ = kappa._lcm([c for c, _ in pairs])
             lcm_bits = sum(e * sum(map(abs, f)).bit_length() for f, e in top.items())
@@ -736,9 +735,9 @@ def test_kappa_all_zero_keys_each_carrier_by_its_weight():
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.data())
-def test_kappa_sum_over_integer_denominators_packs_nothing(data):
-    # With no factor in any denominator, kappa_sum sums the products as they
-    # are, and reduces once over the content and the factor of ``over``.
+def test_kappa_sum_over_integer_denominators(data):
+    # With no factor in any denominator, kappa_sum is the sum of the
+    # products, reduced once over the content and the factor of ``over``.
     coeff = st.builds(KappaRational, st.lists(small_ints, min_size=1, max_size=4).map(tuple),
                       st.integers(2, 12))
     pairs = [(c, data.draw(st.lists(small_ints, min_size=1, max_size=3).map(poly_trim)))
@@ -752,26 +751,16 @@ def test_kappa_sum_over_integer_denominators_packs_nothing(data):
     want = KappaRational(0)
     for c, a in pairs:
         want = want + c * KappaRational(a)
-    pack = kappa._pack
-
-    def screen_only(p, bits):  # only _reduce's screen packs, at its own width
-        assert bits == kappa._SCREEN_BITS, "packed"
-        return pack(p, bits)
-
-    with mock.patch.object(kappa, "_pack", screen_only):
-        got = kappa_sum(pairs, over)
+    got = kappa_sum(pairs, over)
     assert got == want / KappaRational(over)
     if how == "zero":
         assert not got
 
 
-def test_apply_to_a_monomial_packs_nothing(monkeypatch):
+def test_apply_to_a_monomial_matches_the_monomial_route():
     # z^e and the table of L have integer denominators only.
-    packed = []
-    monkeypatch.setattr(kappa, "_pack", lambda p, bits: packed.append(p) or 0)
     for e in itertools.product(range(4), repeat=4):
         assert hamiltonian.apply(ZPolynomial.monomial(e)) == hamiltonian.apply_to_monomial(e)
-    assert not packed
 
 
 def test_kappa_all_zero_is_not_fooled_at_a_packing_point():

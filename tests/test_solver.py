@@ -191,6 +191,24 @@ def test_verify_eigen_rejects(case):
     assert not solver.verify_eigen(tampered)
 
 
+def test_verify_eigen_reads_every_orbit_member():
+    # (2,2,2,2) is fixed by all six triality maps.  Doubling the coefficient
+    # of one exponent that is not the first of its orbit in cone order, or
+    # of every member of that orbit (a sigma-invariant corruption), is seen.
+    p = solver.solve((2, 2, 2, 2))
+    assert all(rs.apply_triality(p.m, sigma) == p.m for sigma in rs.TRIALITY_MAPS)
+    terms = p.polynomial.terms
+    order = [el.exponent for el in solver.support_cone(p.m) if el.exponent in terms]
+    orbit = next(o for o in ({rs.apply_triality(e, s) for s in rs.TRIALITY_MAPS}
+                             for e in order) if len(o) > 1)
+    for doubled in ([max(orbit, key=order.index)], orbit):
+        changed = dict(terms)
+        for e in doubled:
+            changed[e] = changed[e] * 2
+        tampered = solver.CSPolynomial(p.m, p.eigenvalue, p.coefficients, ZPolynomial(changed))
+        assert not solver.verify_eigen(tampered), doubled
+
+
 def test_verify_eigen_sums_without_pairwise_add(monkeypatch):
     # L P - eps P is zero-tested in one kappa_all_zero, never summed term by
     # term with KappaRational + nor one kappa_sum per monomial; the integers
