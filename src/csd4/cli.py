@@ -68,12 +68,23 @@ def _parse_coupling(text: str) -> Fraction:
     return value
 
 
+# The largest --samples of qcheck: every point is built before any is checked, and
+# each costs ten evaluations of the polynomial; 10,000 take about 2 s at (1,1,0,0).
+_MAX_SAMPLES = 10_000
+
+# The largest --order of genfun: the series division's time grows about as the
+# fifth power of the order, and --check series solves one rung per order; at 32
+# each label and check takes 2-3.5 s, at 40 up to 11 s.
+_MAX_ORDER = 32
+
+
 def _parse_kappa(text: str):
     return None if text == "symbolic" else _parse_coupling(text)
 
 
-def _bounded(convert, low=None):
-    """An argparse type: ``convert(text)``, finite as a float, and >= ``low`` if given."""
+def _bounded(convert, low=None, high=None):
+    """An argparse type: ``convert(text)``, finite as a float, and within
+    ``low`` and ``high`` where given."""
     def parse(text: str):
         value = convert(text)
         try:
@@ -84,6 +95,8 @@ def _bounded(convert, low=None):
             raise argparse.ArgumentTypeError(f"must be finite as a float, got {text!r}")
         if low is not None and value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {text!r}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be <= {high}, got {text!r}")
         return value
 
     parse.__name__ = convert.__name__  # argparse names it in "invalid int value"
@@ -220,8 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("genfun", help="generating-function expansion and checks")
     p.add_argument("--label", choices=genfun.LABELS, required=True,
                    help="which generating function")
-    p.add_argument("--order", type=_bounded(int, 0), default=6,
-                   help="truncation order in t (default 6)")
+    p.add_argument("--order", type=_bounded(int, 0, _MAX_ORDER), default=6,
+                   help=f"truncation order in t, at most {_MAX_ORDER} (default 6)")
     p.add_argument("--check", choices=("series", "pde"), default=None,
                    help="compare against the solver, or test the defining "
                         "differential equation; omit to print coefficients")
@@ -233,8 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kappa", type=_bounded(_parse_coupling), default=Fraction(1),
                    help="rational coupling value (default 1)")
     p._negative_number_matcher = _NEGATIVE_NUMBER
-    p.add_argument("--samples", type=_bounded(int, 1), default=5,
-                   help="number of generic torus points (default 5)")
+    p.add_argument("--samples", type=_bounded(int, 1, _MAX_SAMPLES), default=5,
+                   help=f"number of generic torus points, at most {_MAX_SAMPLES} (default 5)")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for the point sampler (default 0)")
     p.set_defaults(func=cmd_qcheck)

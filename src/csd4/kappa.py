@@ -370,9 +370,7 @@ _NO_FACTORS: dict = {}
 def _make(num, content, factors, den=None) -> KappaRational:
     """An instance from parts already in lowest terms."""
     r = object.__new__(KappaRational)
-    r.num = num
-    r._content = content
-    r._factors = factors
+    r.num, r._content, r._factors = num, content, factors
     r._den = den if den is not None or factors else (content,)
     return r
 
@@ -409,8 +407,6 @@ def _div_linear(p: IntPoly, a: int, b: int):
 
     For primitive a + b*k, exactness over Z is exactness over Q (Gauss).
     """
-    if len(p) < 2:
-        return None
     q = [0] * (len(p) - 1)
     r = p[-1]
     for i in range(len(p) - 2, -1, -1):
@@ -428,40 +424,34 @@ def _reduce(num: IntPoly, content: int, factors: dict) -> KappaRational:
     A linear factor is tried by synthetic division while its value at
     2**_SCREEN_BITS is 0 or divides num's there; a non-linear one, which
     arrives only with no known factorization, through :func:`poly_gcd`.
+    The caller's ``factors`` is never changed: copied once a factor divides, else shared.
     """
     if not num:
         return _KR_ZERO
     if len(num) > 1 and factors:
-        kept, x = dict(factors), _pack(num, _SCREEN_BITS)
+        kept, x = factors, _pack(num, _SCREEN_BITS)
         for f in factors:
-            e = kept.pop(f)
+            rest, e = f, kept[f]  # e counts what an earlier remainder added to f
             if len(f) == 2:
-                y = f[0] + (f[1] << _SCREEN_BITS)
-                while e and (not y or not x % y):
-                    q = _div_linear(num, f[0], f[1])
-                    if q is None:
-                        break
-                    num, e, x = q, e - 1, x // (y or 1)  # a multiple of num's value there
-                if e:
-                    kept[f] = kept.get(f, 0) + e
-                continue
-            rest = _mul_factor(_ONE, f, e)
-            g = poly_gcd(num, rest)
-            if g == _ONE:
-                kept[f] = kept.get(f, 0) + e
-                continue
-            # What is left of f^e is primitive with positive leading
-            # coefficient, so it is a factor as it stands.
-            num = poly_div_exact(num, g)
-            rest = poly_div_exact(rest, g)
-            if len(rest) > 1:
+                y, left = f[0] + (f[1] << _SCREEN_BITS), e
+                while left and (not y or not x % y) and (q := _div_linear(num, *f)) is not None:
+                    num, left, x = q, left - 1, x // (y or 1)  # a multiple of num's value there
+                if left == e:
+                    continue
+            else:
+                g = poly_gcd(num, rest := _mul_factor(_ONE, f, e))
+                if g == _ONE:
+                    continue
+                # f^e / g is primitive with positive leading coefficient: a factor as it stands
+                num, rest, left = poly_div_exact(num, g), poly_div_exact(rest, g), 0
+            kept = dict(factors) if kept is factors else kept
+            kept[f] = left  # a 0 is dropped below
+            if len(rest) > 1 and rest is not f:
                 kept[rest] = kept.get(rest, 0) + 1
-        factors = kept or _NO_FACTORS
-    if content > 1:
-        g = math.gcd(content, *num)
-        if g > 1:
-            num = tuple(c // g for c in num)
-            content //= g
+        if kept is not factors:
+            factors = {f: e for f, e in kept.items() if e} or _NO_FACTORS
+    if content > 1 and (g := math.gcd(content, *num)) > 1:
+        num, content = tuple(c // g for c in num), content // g
     return _make(num, content, factors)
 
 
@@ -492,23 +482,27 @@ def kappa_sum(terms, over: IntPoly = _ONE, memo=None) -> KappaRational:
     of degree at most 1), reduced once over one lcm (:func:`_lcm`) and ``over``.
 
     Each product is multiplied up to the lcm as an integer (Kronecker
-    substitution): packed as its value at 2**bits, bits a multiple of 64 above
-    the largest coefficient the sum can have; the packed sum unpacks to the
-    numerator, which :func:`_reduce` brings to lowest terms.  ``memo`` (by
-    default, one per call) keeps the carriers and, by id(c), c, its packings
-    and its bound less its own factors' bits: a sum adds the lcm's bits once.
+    substitution): packed at 2**bits, bits a multiple of 64 that keeps every
+    coefficient of the numerator N below 2**(bits-1).  ``over``'s factor f,
+    nearly always a divisor of N, leaves the packed sum by one division: its
+    digits q are N / f if |q|_inf |f|_1 < 2**(bits-1) (q f and N then share
+    value and digit bound), else N is unpacked; :func:`_reduce` ends the sum.
+    ``memo`` (one per call by default) keeps the carriers, each factor's bits
+    and, by id(c), c, its packings and its bound less its own factors' bits.
     """
     memo = {} if memo is None else memo
     terms = _pairs(terms, memo)
     content, top, dicts = _lcm([c for c, _ in terms])
     sign, oc, of = _factor(over)
     # |c.num a s prod f^d|_inf <= |c.num|_inf |a|_1 s prod |f|_1^d, f^d what c lacks
-    lcm_bits = sum(e * sum(map(abs, f)).bit_length() for f, e in top.items())
+    fb = memo.setdefault("factor bits", {})  # |f|_1's bits by factor, kept across the memo's sums
+    lcm_bits = sum(e * (fb.get(f) or fb.setdefault(f, sum(map(abs, f)).bit_length()))
+                   for f, e in top.items())
     groups, width = {k: [] for k in dicts}, 0
     for c, a in terms:
         row = memo.get(id(c))
         if row is None:
-            own = sum(e * sum(map(abs, f)).bit_length() for f, e in c._factors.items())
+            own = sum(e * fb[f] for f, e in c._factors.items())  # each f is in the lcm
             row = memo[id(c)] = (c, max(max(c.num), -min(c.num)).bit_length() - own, {})
         groups[id(c._factors)].append((row, a, s := content // c._content))
         width = max(width, lcm_bits + row[1] + (sum(map(abs, a)) * s).bit_length())
@@ -525,8 +519,13 @@ def kappa_sum(terms, over: IntPoly = _ONE, memo=None) -> KappaRational:
             if d := e - fs.get(f, 0):
                 cof *= pf[f] ** d
         total += x * cof
-    num = _unpack(total, bits)
-    return _reduce(poly_neg(num) if sign < 0 else num, content * oc, _joined(top, of))
+    total, num = sign * total, ()
+    for a, b in of:  # over = sign oc (a + b*k): a + b*k out by one packed division
+        q, r = divmod(total, a + (b << bits) or 1)  # 1 for k - 2**bits, whose |f|_1 no q passes
+        if not r and (q := _unpack(q, bits)):
+            if max(max(q), -min(q)) * (abs(a) + b) < 1 << (bits - 1):  # so q (a + b*k) = N
+                num = q
+    return _reduce(num or _unpack(total, bits), content * oc, top if num else _joined(top, of))
 
 
 def _lcm(cs) -> tuple:

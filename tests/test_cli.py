@@ -14,13 +14,23 @@ import pytest
 
 import csd4
 from csd4 import fixtures, genfun
-from csd4.cli import _parse_coupling, main
+from csd4.cli import _MAX_ORDER, _MAX_SAMPLES, _parse_coupling, build_parser, main
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def run_module(*argv):
+    """``python -m csd4 argv`` in a child, which finds the package where this
+    process did (it need not be installed)."""
+    src = str(Path(csd4.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run([sys.executable, "-m", "csd4", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
 
 
 def test_compute_symbolic(capsys):
@@ -296,6 +306,23 @@ def test_usage_error_exit_code(argv, capsys):
     assert "usage: csd4" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, bound", [
+    (["qcheck", "--m", "1,0,0,0", "--samples"], _MAX_SAMPLES),
+    (["genfun", "--label", "F0", "--order"], _MAX_ORDER),
+], ids=["samples", "order"])
+def test_upper_bounds_are_named(argv, bound, capsys):
+    # The bound itself parses; one more is a usage error that names it,
+    # through main (the console script's entry point) and python -m csd4.
+    assert build_parser().parse_args([*argv, str(bound)]) is not None
+    with pytest.raises(SystemExit) as err:
+        main([*argv, str(bound + 1)])
+    assert err.value.code == 2
+    assert f"must be <= {bound}, got '{bound + 1}'" in capsys.readouterr().err
+    result = run_module(*argv, "1000000000")
+    assert result.returncode == 2 and not result.stdout
+    assert f"must be <= {bound}, got '1000000000'" in result.stderr
+
+
 def test_coupling_digit_limit():
     # 4,300 digits is the most a coupling's numerator or denominator may
     # have (the parse alone: no solve at such a coupling runs here).
@@ -337,16 +364,7 @@ def test_negative_coupling_with_space(argv, capsys):
 
 
 def test_console_script_entry_point():
-    # The package need not be installed: the child finds it where this one did.
-    src = str(Path(csd4.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    result = subprocess.run(
-        [sys.executable, "-m", "csd4", "dims", "--m", "1,0,0,0"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+    result = run_module("dims", "--m", "1,0,0,0")
     assert result.returncode == 0
     assert json.loads(result.stdout)["dim"] == 8
 

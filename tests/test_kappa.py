@@ -460,6 +460,60 @@ def test_kappa_sum_is_not_fooled_at_a_packing_point():
         assert KappaRational(poly_mul(f, (1, 2))) / KappaRational(f) == KappaRational((1, 2))
 
 
+def test_kappa_sum_certifies_the_packed_quotient():
+    # k - 1 divides c.num, whose coefficients sum to 0, so the packed total
+    # divides by the packed k - 1.  But the quotient's coefficients reach
+    # 32 (2^60 - 1), past what the 64-bit packing of this sum holds: the
+    # quotient's digits are not the quotient, and the sum must not take them.
+    big = 2**60 - 1
+    c = KappaRational((big,) * 32 + (-big,) * 32)
+    want = KappaRational(c.num, (-1, 1))
+    assert not want._factors and max(map(abs, want.num)).bit_length() == 65
+    assert kappa_sum([(c, (1,))], (-1, 1)) == want
+
+
+def test_kappa_sum_over_a_factor_that_does_not_divide_or_is_in_the_lcm():
+    # f = k + 1 is in the lcm squared; g = 7k + 5 is in no denominator.
+    f, g, h = (1, 1), (5, 7), (3, 2)
+    x, y = over_linear((1, 0, 4), 1, [f, h], [2, 1]), over_linear((5,), 3, [h], [1])
+    for a, b in [((1,), (1,)), (f, (2,)), (g, (-3,)), (poly_mul(f, f), (0,)),
+                 (poly_mul(f, g), (0,)), (poly_mul(f, poly_mul(f, g)), (0,))]:
+        pairs = [(x, a), (y, b)]
+        whole = x * KappaRational(a) + y * KappaRational(b)
+        for over in [f, poly_scale(f, -2), g, poly_scale(g, 3)]:
+            got = kappa_sum(pairs, over)
+            assert got == whole / KappaRational(over)
+            assert (got.num, got.den) == gcd_reference(got.num, got.den)
+            if over[1] % 7 == 0:  # g stays exactly when it does not divide the sum
+                divides = poly_eval(whole.num, Fraction(-5, 7)) == 0
+                assert (g in got._factors) != divides
+    assert kappa_sum([(x, (1,))], g)._factors == {**x._factors, g: 1}
+    assert kappa_sum([(x, g)], g) == x
+
+
+def test_reduce_copies_the_factor_dict_only_when_a_factor_divides():
+    # 4k^2 + 1 shares no factor with (k + 1)^2 (2k + 3) (k^2 + 1).
+    fs = {(1, 1): 2, (3, 2): 1, (1, 0, 1): 1}
+    saved = dict(fs)
+    assert kappa._reduce((1, 0, 4), 6, fs)._factors is fs
+    assert kappa._reduce((2,), 6, fs)._factors is fs
+    r = kappa._reduce(poly_mul((1, 0, 4), (1, 1)), 6, fs)
+    assert r._factors == {(1, 1): 1, (3, 2): 1, (1, 0, 1): 1} and r.num == (1, 0, 4)
+    r = kappa._reduce(poly_mul((1, 0, 1), (3, 2)), 6, fs)
+    assert r._factors == {(1, 1): 2} and r.num == (1,)
+    assert fs == saved
+    # (k + 1)(k + 2), unfactored, leaves k + 2 after its gcd with a multiple
+    # of k + 1; the remainder joins the linear k + 2, before or after it in
+    # the dict, and that key is then tried at the combined exponent.
+    q, f = poly_mul((1, 1), (2, 1)), (2, 1)
+    for num, want in [((1, 1), {f: 2}), (poly_mul((1, 1), f), {f: 1}),
+                      (poly_mul((1, 1), poly_mul(f, f)), {}), ((3, 5), {q: 1, f: 1})]:
+        for order in [{q: 1, f: 1}, {f: 1, q: 1}]:
+            r = kappa._reduce(num, 1, order)
+            assert r._factors == want
+            assert (r.num, r.den) == gcd_reference(num, poly_mul(q, f))
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(st.data())
 def test_kappa_sum_shares_a_memo_across_widths(data):
