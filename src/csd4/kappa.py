@@ -8,8 +8,9 @@ leading coefficient) so that equality is plain structural comparison.
 Every denominator the solver meets is a product of eigenvalue differences
 ``eps(e) - eps(m)``, linear in the coupling, so a denominator is stored
 factored: a positive integer content times primitive factors ``a + b*k``
-(``b > 0``) with multiplicities.  A sum brings each numerator up to the lcm
-of the denominators.  Both sum kernels read pairs (c, a), a an integer
+(``b > 0``) with multiplicities, and written out by one packed product
+(:func:`_expand`).  A sum brings each numerator up to the lcm of the
+denominators.  Both sum kernels read pairs (c, a), a an integer
 polynomial or a ``KappaRational``: :func:`kappa_sum`, the dot product, on
 integers packed by Kronecker substitution, and :func:`kappa_all_zero`, a zero
 test of many sums that reduces none.
@@ -198,9 +199,10 @@ def poly_from_str(text: str) -> IntPoly:
 class KappaRational:
     """A canonical ratio of integer polynomials in the coupling.
 
-    ``num`` and ``den`` are coprime over Z[k]; ``den`` is expanded from its
-    factored form on first use.  Instances are immutable and hashable; two
-    instances compare equal iff they are the same rational function.
+    ``num`` and ``den`` are coprime over Z[k]; ``den`` is written out from its
+    factored form on first use, by :func:`_expand`.  Instances are immutable
+    and hashable; two instances compare equal iff they are the same rational
+    function.
     """
 
     __slots__ = ("num", "_content", "_factors", "_den")
@@ -234,13 +236,9 @@ class KappaRational:
 
     @property
     def den(self) -> IntPoly:
-        den = self._den
-        if den is None:
-            den = (self._content,)
-            for f, e in self._factors.items():
-                den = _mul_factor(den, f, e)
-            self._den = den
-        return den
+        if self._den is None:
+            self._den = _expand(self._content, self._factors.items())
+        return self._den
 
     # -- predicates ----------------------------------------------------
 
@@ -396,12 +394,6 @@ def _factor(p: IntPoly) -> tuple:
     return sign, content, {tuple(c // s for c in p): 1}
 
 
-def _mul_factor(p: IntPoly, f: IntPoly, e: int) -> IntPoly:
-    for _ in range(e):
-        p = poly_mul(p, f)
-    return p
-
-
 def _div_linear(p: IntPoly, a: int, b: int):
     """p / (a + b*k) in Z[k] by synthetic division, or None if inexact.
 
@@ -439,7 +431,7 @@ def _reduce(num: IntPoly, content: int, factors: dict) -> KappaRational:
                 if left == e:
                     continue
             else:
-                g = poly_gcd(num, rest := _mul_factor(_ONE, f, e))
+                g = poly_gcd(num, rest := _expand(1, ((f, e),)))
                 if g == _ONE:
                     continue
                 # f^e / g is primitive with positive leading coefficient: a factor as it stands
@@ -475,6 +467,14 @@ def _unpack(x: int, bits: int) -> IntPoly:
         out.append(d)
         x = (x - d) >> bits
     return tuple(out)
+
+
+def _expand(content: int, factors) -> IntPoly:
+    """content * prod f^e over the pairs (f, e), by one packed product: each f
+    at 2**bits, bits the bit length of content * prod |f|_1^e, a bound on
+    every coefficient of the product, plus a sign bit."""
+    bits = (content * math.prod(sum(map(abs, f)) ** e for f, e in factors)).bit_length() + 1
+    return _unpack(content * math.prod(_pack(f, bits) ** e for f, e in factors), bits)
 
 
 def kappa_sum(terms, over: IntPoly = _ONE, memo=None) -> KappaRational:
@@ -589,33 +589,18 @@ def _up(c: KappaRational, content: int, top: dict) -> IntPoly:
     """c.num times what c's denominator lacks of the lcm (content, top) of _lcm."""
     num, fs, s = c.num, c._factors, content // c._content
     for f, e in top.items():
-        num = _mul_factor(num, f, e - fs.get(f, 0))
+        for _ in range(e - fs.get(f, 0)):
+            num = poly_mul(num, f)
     return poly_scale(num, s) if s != 1 else num
 
 
 def share_den(x: KappaRational, seen: dict) -> KappaRational:
-    """x with the factor dict and expanded ``den`` of the first value in
-    ``seen``, the caller's table, that has the same denominator.
-
-    So each distinct denominator is expanded once and stored once.  A new
-    one is grown from the first value over a factor multiset one factor f
-    smaller (``seen`` maps each multiset to it): that den over its content,
-    times f, times x's content; with no such twin, factor by factor.
-    """
-    fs = frozenset(x._factors.items())
-    twin = seen.get((x._content, fs))
-    if twin is not None:
-        return _make(x.num, x._content, twin._factors, twin.den)
-    for f, e in x._factors.items():
-        near = seen.get(fs - {(f, e)} | ({(f, e - 1)} if e > 1 else set()))
-        if near is not None:
-            prim = poly_mul(tuple(c // near._content for c in near.den), f)
-            x._den = poly_scale(prim, x._content)
-            break
-    seen[x._content, fs] = x
-    seen.setdefault(fs, x)
-    x.den  # expanded here, not at a caller's first use
-    return x
+    """x with the factor dict and written-out ``den`` of the first value in
+    ``seen``, the caller's table keyed by content and factor multiset, that
+    has the same denominator: each distinct denominator is written out once
+    and stored once."""
+    first = seen.setdefault((x._content, frozenset(x._factors.items())), x)
+    return _make(x.num, x._content, first._factors, first.den)
 
 
 def poly_linear(const: int, slope: int) -> IntPoly:

@@ -20,9 +20,9 @@ coefficient one :func:`csd4.kappa.kappa_sum` that divides as it sums;
 q*(c0 + c1*p/q) and each coefficient one integer dot product made one
 Fraction.  Neither walk does other arithmetic on its scalar.  A
 coefficient's own work is done once per solve, not once per sum it feeds:
-its bound and packing (the memo of :func:`~csd4.kappa.kappa_sum`) and the
-expansion of its denominator (:func:`~csd4.kappa.share_den`, from a twin
-one factor smaller).
+its bound and packing (the memo of :func:`~csd4.kappa.kappa_sum`), and each
+distinct denominator is written out and stored once
+(:func:`~csd4.kappa.share_den`).
 
 Triality permutes z1, z3, z4 and commutes with L, so a permutation sigma
 that fixes m fixes the monic eigenpolynomial too: c(sigma mu) = c(mu).  The
@@ -208,9 +208,10 @@ def solve(m) -> CSPolynomial:
     One :func:`_walk` with coefficients rational functions of the coupling:
     each coefficient is one :func:`csd4.kappa.kappa_sum` of its pairs over
     its eigenvalue difference, with one packing memo for the whole solve,
-    and coefficients with equal denominators share one expanded ``den``
-    (:func:`csd4.kappa.share_den`).  The walk makes no other arithmetic on
-    rational functions.  The result is cached, and its tables are read-only.
+    and coefficients with equal denominators share one factor dict and one
+    written-out ``den`` (:func:`csd4.kappa.share_den`).  The walk makes no
+    other arithmetic on rational functions.  The result is cached, and its
+    tables are read-only.
     """
     m = check_dominant(m)
     if m in _CACHE:

@@ -6,7 +6,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from csd4 import fixtures, hamiltonian, kappa, solver
@@ -36,6 +36,11 @@ def test_canonicalize_difference_of_squares():
     r = KappaRational((-1, 0, 1), (1, 1))
     assert r == KappaRational((-1, 1))
     assert r.as_strings() == ("k - 1", "1")
+    # and 1/q^2 * q to 1/q, q = k^2 + 1 opaque: _reduce writes q^2 out and cancels one q
+    q = KappaRational((1, 0, 1))
+    x = 1 / q / q
+    assert x._factors == {(1, 0, 1): 2}
+    assert x * q == 1 / q and (x * q).den == (1, 0, 1)
 
 
 def test_canonicalize_zero_numerator():
@@ -647,34 +652,33 @@ def share_den_case(content, *factors):
     return x
 
 
-def test_share_den_grows_a_denominator_from_its_twin(monkeypatch):
-    expansions = []  # the factor-by-factor expansions made
-
-    def expand(p, f, e):
-        expansions.append(f)
-        return power_product(p, [f], [e])
-
-    monkeypatch.setattr(kappa, "_mul_factor", expand)
+def test_share_den_stores_each_denominator_once():
     f, g = (1, 2), (-3, 1)
     seen: dict = {}
-    cases = [  # (content, factors, whether it is expanded factor by factor)
-        ((2, f), True),  # seen is empty
-        ((6, f, f), False),  # multiplicity 2, from (2, f) of another content
-        ((1, g, g), True),  # no {g: 1} in seen
-        ((3, f, f, g), False),  # from (6, f, f)
-        ((5,), False),  # the empty factor dict
-        ((1, g, g, g), False),  # from (1, g, g), of the same content
+    cases = [  # (content, factors)
+        (2, f), (6, f, f), (1, g, g), (3, f, f, g), (5,), (1, g, g, g),
     ]
-    for (content, *fs), expanded in cases:
-        expansions.clear()
+    for content, *fs in cases:
         x = share_den(share_den_case(content, *fs), seen)
         assert x.den == power_product((content,), fs, [1] * len(fs))
-        assert bool(expansions) == expanded, (content, fs)
     # An equal denominator is the stored one: same den and factor dict objects.
     first = seen[6, frozenset({(f, 2)})]
     again = share_den(share_den_case(6, f, f) * 5, seen)
     assert again.den is first.den and again._factors is first._factors
     assert again == KappaRational(5, first.den)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@example(3, [((0, 1), 1)])  # 3k, KappaRational(1, (0, 3))'s den: its coefficient is the bound
+@given(st.integers(1, 1 << 80),
+       st.lists(st.tuples(st.sampled_from([*LINEAR, *QUADRATICS]), st.integers(1, 5)),
+                max_size=4, unique_by=lambda fe: fe[0]))
+def test_den_is_the_factor_by_factor_expansion(content, factors):
+    # den packs every factor at the bit length of content * prod |f|_1^e,
+    # plus a sign bit: the exact bound on each coefficient of the product.
+    # LINEAR holds k itself and factors with a negative constant.
+    x = kappa._make((1,), content, dict(factors))
+    assert x.den == power_product((content,), [f for f, _ in factors], [e for _, e in factors])
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

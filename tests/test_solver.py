@@ -553,8 +553,8 @@ def test_equal_denominators_share_one_expansion():
 
 @pytest.mark.parametrize("m", [(4, 4, 4, 4), (1, 2, 1, 3)])
 def test_grown_denominators_equal_their_expansion(m):
-    # share_den grows most denominators from a twin one factor smaller; each
-    # must equal content * prod f^e expanded from scratch.
+    # den writes each distinct denominator out by one packed product; each
+    # must equal content * prod f^e expanded factor by factor.
     solver.clear_cache()
     try:
         p = solver.solve(m)
